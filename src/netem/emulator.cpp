@@ -89,23 +89,31 @@ Bytes Emulator::snap_head(BytesView payload) const {
   return Bytes(payload.begin(), payload.begin() + n);
 }
 
+template <typename FillPacket>
 void Emulator::push_event(Time at, EventKind kind, NodeId node, std::uint64_t a,
-                          std::uint64_t b, Packet packet) {
-  Event e;
-  e.at = at;
-  e.seq = next_seq_++;
-  e.kind = kind;
-  e.node = node;
-  e.a = a;
-  e.b = b;
-  e.packet = std::move(packet);
-  queue_.push(std::move(e));
+                          std::uint64_t b, FillPacket&& fill_packet) {
+  queue_.push_with([&](Event& e) {
+    e.at = at;
+    e.seq = next_seq_++;
+    e.kind = kind;
+    e.node = node;
+    e.a = a;
+    e.b = b;
+    fill_packet(e.packet);
+  });
+}
+
+void Emulator::push_event(Time at, EventKind kind, NodeId node, std::uint64_t a,
+                          std::uint64_t b) {
+  push_event(at, kind, node, a, b, [](Packet&) {});
 }
 
 void Emulator::send_message(NodeId src, NodeId dst, MessageBuf message) {
   TURRET_CHECK(src < cfg_.nodes && dst < cfg_.nodes);
   ++stats_.messages_sent;
-  if (proxy_ != nullptr) {
+  // Senders the interceptor does not claim skip it: their message goes out
+  // unchanged, as a pass-through delivery would have sent it.
+  if (proxy_ != nullptr && proxy_->intercepts(src)) {
     auto deliveries = proxy_->on_send(now_, src, dst, message);
     if (deliveries.empty()) {
       ++stats_.messages_dropped_by_proxy;
@@ -127,25 +135,26 @@ void Emulator::send_message(NodeId src, NodeId dst, MessageBuf message) {
         // Hold the message in the proxy; a kProxyRelease event re-enters the
         // send path later. Normally it bypasses the interceptor (the action
         // was already applied once); a reintercept hold presents it again.
-        Packet held;
-        held.src = src;
-        held.dst = d.dst;
-        held.frag_count = 0;  // marker: carries a whole message
-        held.msg_bytes = static_cast<std::uint32_t>(d.message.size());
-        held.payload = std::move(d.message);
         if (recorder_ != nullptr) {
           PacketRecord rec;
           rec.t = now_;
           rec.src = src;
           rec.dst = d.dst;
-          rec.size = held.msg_bytes;
+          rec.size = static_cast<std::uint32_t>(d.message.size());
           rec.disposition = PacketDisposition::kProxyHeld;
           rec.delay = d.delay;
-          rec.head = snap_head(held.payload);
+          rec.head = snap_head(d.message);
           recorder_->record(std::move(rec));
         }
         push_event(now_ + d.delay, EventKind::kProxyRelease, d.dst,
-                   d.reintercept ? 1 : 0, 0, std::move(held));
+                   d.reintercept ? 1 : 0, 0, [&](Packet& held) {
+                     held.src = src;
+                     held.dst = d.dst;
+                     held.frag_count = 0;  // marker: carries a whole message
+                     held.msg_bytes =
+                         static_cast<std::uint32_t>(d.message.size());
+                     held.payload = std::move(d.message);
+                   });
       } else {
         transmit(src, d.dst, std::move(d.message));
       }
@@ -182,19 +191,11 @@ void Emulator::transmit(NodeId src, NodeId dst, MessageBuf message) {
   std::uint16_t lost_count = 0;
 
   for (std::uint16_t i = 0; i < frag_count; ++i) {
-    Packet p;
-    p.src = src;
-    p.dst = dst;
-    p.msg_id = msg_id;
-    p.frag_index = i;
-    p.frag_count = frag_count;
-    p.msg_bytes = static_cast<std::uint32_t>(total);
     const std::size_t off = static_cast<std::size_t>(i) * mtu;
     const std::size_t len = std::min(mtu, total - off);
-    p.payload = message.view(off, len);  // zero-copy MTU slice
 
     // Bandwidth serialization at the sender NIC, then propagation.
-    const double bits = static_cast<double>(p.wire_size()) * 8.0;
+    const double bits = static_cast<double>(len + kPacketOverhead) * 8.0;
     const auto ser = static_cast<Duration>(bits / spec.bandwidth_bps * kSecond);
     cursor += std::max<Duration>(ser, 1);
 
@@ -208,11 +209,11 @@ void Emulator::transmit(NodeId src, NodeId dst, MessageBuf message) {
       rec.msg_id = msg_id;
       rec.frag_index = i;
       rec.frag_count = frag_count;
-      rec.size = static_cast<std::uint32_t>(p.payload.size());
+      rec.size = static_cast<std::uint32_t>(len);
       rec.disposition =
           lost ? PacketDisposition::kLost : PacketDisposition::kSent;
       if (!lost) rec.delay = cursor + spec.delay - now_;
-      rec.head = snap_head(p.payload);
+      rec.head = snap_head(message.span().subspan(off, len));
       recorder_->record(std::move(rec));
     }
     if (lost) {
@@ -221,7 +222,18 @@ void Emulator::transmit(NodeId src, NodeId dst, MessageBuf message) {
       continue;
     }
     push_event(cursor + spec.delay, EventKind::kPacketDeliver, dst, 0, 0,
-               std::move(p));
+               [&](Packet& p) {
+                 p.src = src;
+                 p.dst = dst;
+                 p.msg_id = msg_id;
+                 p.frag_index = i;
+                 p.frag_count = frag_count;
+                 p.msg_bytes = static_cast<std::uint32_t>(total);
+                 // A whole message moves in; fragments are zero-copy MTU
+                 // slices of it.
+                 p.payload = frag_count == 1 ? std::move(message)
+                                             : message.view(off, len);
+               });
   }
   link.busy_until = cursor;
 
@@ -248,11 +260,14 @@ bool Emulator::step() {
         "emulator event budget exceeded: " + std::to_string(event_budget_) +
         " events processed at " + format_time(now_));
   }
-  Event ev = queue_.pop();
-  TURRET_CHECK_MSG(ev.at >= now_, "event scheduled in the past");
-  now_ = ev.at;
-  ++stats_.events_processed;
-  dispatch(ev);
+  // Dispatch inside the queue node; it is recycled afterwards, even when
+  // dispatch throws.
+  queue_.pop_with([this](Event& ev) {
+    TURRET_CHECK_MSG(ev.at >= now_, "event scheduled in the past");
+    now_ = ev.at;
+    ++stats_.events_processed;
+    dispatch(ev);
+  });
   return true;
 }
 
@@ -263,7 +278,7 @@ void Emulator::run_until(Time t) {
   if (!frozen_ && now_ < t) now_ = t;
 }
 
-void Emulator::dispatch(const Event& ev) {
+void Emulator::dispatch(Event& ev) {
   fault::inject(fault::kEmuDispatch);
   if (trace::active())
     trace::counters().emu_events.fetch_add(1, std::memory_order_relaxed);
@@ -275,9 +290,10 @@ void Emulator::dispatch(const Event& ev) {
       if (ev.a == 1 && proxy_ != nullptr) {
         // A held-for-reinterception message: run it through the (possibly
         // re-armed) proxy as if it were being sent now.
-        send_message(ev.packet.src, ev.packet.dst, ev.packet.payload);
+        send_message(ev.packet.src, ev.packet.dst,
+                     std::move(ev.packet.payload));
       } else {
-        transmit(ev.packet.src, ev.packet.dst, ev.packet.payload);
+        transmit(ev.packet.src, ev.packet.dst, std::move(ev.packet.payload));
       }
       break;
     case EventKind::kReassemblyExpire:
@@ -318,7 +334,7 @@ MessageBuf Emulator::reassemble(const Reassembly& re) const {
   return MessageBuf(std::move(data));
 }
 
-void Emulator::deliver_packet(const Packet& p) {
+void Emulator::deliver_packet(Packet& p) {
   NetDevice& dev = *devices_[p.dst];
   const Duration dev_latency = dev.receive(p);
   if (recorder_ != nullptr) {
@@ -339,7 +355,8 @@ void Emulator::deliver_packet(const Packet& p) {
 
   if (p.frag_count == 1) {
     ++stats_.messages_delivered;
-    if (sink_ != nullptr) sink_->on_message(p.dst, p.src, p.payload);
+    if (sink_ != nullptr)
+      sink_->on_message(p.dst, p.src, std::move(p.payload));
     return;
   }
 
@@ -351,7 +368,7 @@ void Emulator::deliver_packet(const Packet& p) {
   }
   if (re.have[p.frag_index]) return;  // duplicate fragment
   re.have[p.frag_index] = true;
-  re.frags[p.frag_index] = p.payload;  // keep the view; no copy
+  re.frags[p.frag_index] = std::move(p.payload);  // keep the view; no copy
   ++re.received;
   if (re.received == p.frag_count) {
     MessageBuf whole = reassemble(re);

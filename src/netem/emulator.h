@@ -62,8 +62,8 @@ class MessageSink {
 };
 
 /// The malicious proxy's hook on the emulator ingress path. Called for every
-/// message entering the network; the implementation decides whether the
-/// sender is malicious and what to do with the message.
+/// message entering the network from a sender it intercepts(); the
+/// implementation decides what to do with the message.
 class IngressInterceptor {
  public:
   struct Delivery {
@@ -84,6 +84,15 @@ class IngressInterceptor {
   };
 
   virtual ~IngressInterceptor() = default;
+
+  /// Whether sends from `src` go through on_send() at all. A sender for
+  /// which this returns false bypasses the interceptor: its message is
+  /// transmitted unchanged, exactly as a single pass-through Delivery would
+  /// have been. Default: every sender is intercepted.
+  virtual bool intercepts(NodeId src) const {
+    (void)src;
+    return true;
+  }
 
   /// Returns the deliveries replacing this send (empty = dropped). `now` is
   /// the emulated time of the send (the interceptor has no clock of its own;
@@ -237,11 +246,17 @@ class Emulator {
     return resolved_links_[static_cast<std::size_t>(src) * cfg_.nodes + dst];
   }
 
+  /// Queue an event built in its queue node; `fill_packet(Packet&)` sets the
+  /// packet of packet-carrying kinds.
+  template <typename FillPacket>
   void push_event(Time at, EventKind kind, NodeId node, std::uint64_t a,
-                  std::uint64_t b, Packet packet = {});
+                  std::uint64_t b, FillPacket&& fill_packet);
+  void push_event(Time at, EventKind kind, NodeId node, std::uint64_t a,
+                  std::uint64_t b);
   void transmit(NodeId src, NodeId dst, MessageBuf message);
-  void dispatch(const Event& ev);
-  void deliver_packet(const Packet& p);
+  /// Runs inside the event's queue node; may move the payload out of it.
+  void dispatch(Event& ev);
+  void deliver_packet(Packet& p);
   /// The completed message: a zero-copy rejoin of the shared parent buffer
   /// when possible, one materializing copy otherwise.
   MessageBuf reassemble(const Reassembly& re) const;

@@ -8,19 +8,20 @@
 namespace turret::netem {
 
 EventQueue::EventQueue() {
-  buckets_.assign(kMinBuckets, nullptr);
+  buckets_.assign(kMinBuckets, Bucket{});
   mask_ = buckets_.size() - 1;
 }
 
 EventQueue::~EventQueue() { clear(); }
 
 void EventQueue::clear() {
-  for (Node*& head : buckets_) {
-    while (head != nullptr) {
-      Node* n = head;
-      head = n->next;
+  for (Bucket& b : buckets_) {
+    while (b.head != nullptr) {
+      Node* n = b.head;
+      b.head = n->next;
       pool_.release(n);
     }
+    b.tail = nullptr;
   }
   size_ = 0;
   cur_slot_ = 0;
@@ -28,15 +29,24 @@ void EventQueue::clear() {
 }
 
 void EventQueue::file(Node* n) {
-  Node** link = &buckets_[slot(n->ev.at) & mask_];
-  while (*link != nullptr && less((*link)->ev, n->ev)) link = &(*link)->next;
-  n->next = *link;
-  *link = n;
+  Bucket& b = buckets_[slot(n->ev.at) & mask_];
+  n->next = nullptr;
+  if (b.tail == nullptr) {
+    b.head = b.tail = n;
+  } else if (!less(n->ev, b.tail->ev)) {
+    b.tail->next = n;  // the common case: seq grows, so ties append
+    b.tail = n;
+  } else {
+    // Below the tail: walk to the first node not less than n (one exists,
+    // the tail), so the tail is unchanged.
+    Node** link = &b.head;
+    while (less((*link)->ev, n->ev)) link = &(*link)->next;
+    n->next = *link;
+    *link = n;
+  }
 }
 
-void EventQueue::push(Event ev) {
-  Node* n = pool_.acquire();
-  n->ev = std::move(ev);
+void EventQueue::insert(Node* n) {
   const std::uint64_t s = slot(n->ev.at);
   if (size_ == 0 || s < cur_slot_) cur_slot_ = s;
   if (cached_min_ != nullptr && less(n->ev, cached_min_->ev)) cached_min_ = n;
@@ -51,7 +61,7 @@ const EventQueue::Node* EventQueue::find_min() const {
   // Scan one full calendar year from the day cursor. Equal timestamps share
   // a bucket, so the first head matching the current day is the global min.
   for (std::size_t i = 0; i < buckets_.size(); ++i, ++cur_slot_) {
-    Node* h = buckets_[cur_slot_ & mask_];
+    Node* h = buckets_[cur_slot_ & mask_].head;
     if (h != nullptr && slot(h->ev.at) == cur_slot_) {
       cached_min_ = h;
       return h;
@@ -60,7 +70,8 @@ const EventQueue::Node* EventQueue::find_min() const {
   // Sparse tail: every pending event is more than a year out. Direct min
   // over bucket heads (each head is its bucket's minimum).
   Node* best = nullptr;
-  for (Node* h : buckets_) {
+  for (const Bucket& b : buckets_) {
+    Node* h = b.head;
     if (h != nullptr && (best == nullptr || less(h->ev, best->ev))) best = h;
   }
   cur_slot_ = slot(best->ev.at);
@@ -73,26 +84,32 @@ const Event* EventQueue::peek() const {
   return n == nullptr ? nullptr : &n->ev;
 }
 
-Event EventQueue::pop() {
+EventQueue::Node* EventQueue::unlink_min() {
   const Node* cn = find_min();
   TURRET_CHECK_MSG(cn != nullptr, "pop from an empty event queue");
   Node* n = const_cast<Node*>(cn);
-  Node*& head = buckets_[slot(n->ev.at) & mask_];
-  TURRET_CHECK(head == n);  // the global min is the head of its bucket
-  head = n->next;
+  Bucket& b = buckets_[slot(n->ev.at) & mask_];
+  TURRET_CHECK(b.head == n);  // the global min is the head of its bucket
+  b.head = n->next;
+  if (b.head == nullptr) b.tail = nullptr;
   --size_;
   cached_min_ = nullptr;
-  Event ev = std::move(n->ev);
-  pool_.release(n);
-  maybe_resize();
+  maybe_resize();  // n is detached, so a resize never touches it
+  return n;
+}
+
+Event EventQueue::pop() {
+  Event ev;
+  pop_with([&ev](Event& e) { ev = std::move(e); });
   return ev;
 }
 
 std::vector<const Event*> EventQueue::sorted() const {
   std::vector<const Event*> out;
   out.reserve(size_);
-  for (const Node* h : buckets_) {
-    for (const Node* n = h; n != nullptr; n = n->next) out.push_back(&n->ev);
+  for (const Bucket& b : buckets_) {
+    for (const Node* n = b.head; n != nullptr; n = n->next)
+      out.push_back(&n->ev);
   }
   std::sort(out.begin(), out.end(), [](const Event* x, const Event* y) {
     return less(*x, *y);
@@ -125,12 +142,8 @@ void EventQueue::resize(std::size_t nbuckets) {
   // insertion history, only on content.
   std::vector<Node*> nodes;
   nodes.reserve(size_);
-  for (Node*& head : buckets_) {
-    while (head != nullptr) {
-      Node* n = head;
-      head = n->next;
-      nodes.push_back(n);
-    }
+  for (const Bucket& b : buckets_) {
+    for (Node* n = b.head; n != nullptr; n = n->next) nodes.push_back(n);
   }
   std::sort(nodes.begin(), nodes.end(),
             [](const Node* x, const Node* y) { return less(x->ev, y->ev); });
@@ -145,11 +158,11 @@ void EventQueue::resize(std::size_t nbuckets) {
     shift_ = std::min(static_cast<int>(std::bit_width(width)) - 1, kMaxShift);
   }
 
-  buckets_.assign(nbuckets, nullptr);
+  buckets_.assign(nbuckets, Bucket{});
   mask_ = buckets_.size() - 1;
-  // Refile in reverse canonical order: every insert lands at its bucket
-  // head, making the rebuild O(n) after the sort.
-  for (std::size_t i = nodes.size(); i-- > 0;) file(nodes[i]);
+  // Refile in canonical order: every insert is a tail append, making the
+  // rebuild O(n) after the sort.
+  for (Node* n : nodes) file(n);
   cur_slot_ = nodes.empty() ? 0 : slot(nodes.front()->ev.at);
   cached_min_ = nodes.empty() ? nullptr : nodes.front();
 }

@@ -16,11 +16,19 @@
 // load() refiles them, so two emulators with different resize histories
 // still produce byte-identical snapshots and pop sequences.
 //
+// Each bucket keeps a tail pointer. A push that is not less than its
+// bucket's tail appends in O(1). Seq only grows, so that is the common case:
+// a broadcast's n-1 deliveries share one `at`, and each is appended behind
+// the previous one instead of walking the equal-timestamp run.
+//
 // Nodes come from a SlabPool: steady-state dispatch (stable queue depth)
-// performs no heap allocation.
+// performs no heap allocation. Events are built in their node (push_with)
+// and dispatched in it (pop_with), so an Event is never moved through the
+// queue.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/pool.h"
@@ -35,10 +43,40 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  void push(Event ev);
+  void push(Event ev) {
+    push_with([&ev](Event& e) { e = std::move(ev); });
+  }
+
+  /// Build an event in its pool node: `fill(Event&)` sets the fields of a
+  /// default-constructed Event, then the node is filed by (at, seq).
+  template <typename Fill>
+  void push_with(Fill&& fill) {
+    Node* n = pool_.acquire();
+    try {
+      fill(n->ev);
+    } catch (...) {
+      pool_.release(n);
+      throw;
+    }
+    insert(n);
+  }
 
   /// Remove and return the (at, seq)-minimal event. Precondition: !empty().
   Event pop();
+
+  /// Remove the (at, seq)-minimal event and run `fn(Event&)` on it where it
+  /// lies. `fn` may push new events. The node goes back to the pool when
+  /// `fn` returns or throws. Precondition: !empty().
+  template <typename Fn>
+  void pop_with(Fn&& fn) {
+    struct Recycle {
+      SlabPool<Node>& pool;
+      Node* n;
+      ~Recycle() { pool.release(n); }
+    };
+    const Recycle recycle{pool_, unlink_min()};
+    fn(recycle.n->ev);
+  }
 
   /// The (at, seq)-minimal event, or nullptr when empty. (Advances the
   /// internal day cursor; logically const.)
@@ -59,10 +97,20 @@ class EventQueue {
   /// and fingerprint view. O(n log n); cold path only.
   std::vector<const Event*> sorted() const;
 
+  /// Pool nodes currently acquired: size() plus the event being dispatched
+  /// by pop_with, if any (leak checks in tests).
+  std::size_t live_nodes() const { return pool_.live(); }
+
  private:
   struct Node {
     Event ev;
     Node* next = nullptr;
+  };
+
+  /// A sorted (at, seq) list. `tail` is its maximum, null iff `head` is.
+  struct Bucket {
+    Node* head = nullptr;
+    Node* tail = nullptr;
   };
 
   static constexpr std::size_t kMinBuckets = 16;
@@ -80,12 +128,14 @@ class EventQueue {
   }
 
   const Node* find_min() const;
-  void file(Node* n);          ///< sorted insert into n's bucket list
+  void insert(Node* n);        ///< file a freshly filled node, then rebalance
+  Node* unlink_min();          ///< detach the minimum (node stays acquired)
+  void file(Node* n);          ///< tail append, else sorted insert
   void resize(std::size_t nbuckets);
   void maybe_resize();
 
   SlabPool<Node> pool_;
-  std::vector<Node*> buckets_;  ///< power-of-two count; sorted (at, seq) lists
+  std::vector<Bucket> buckets_;  ///< power-of-two count
   std::size_t mask_ = 0;        ///< buckets_.size() - 1
   int shift_ = kInitShift;      ///< bucket width = 1 << shift_ nanoseconds
   std::size_t size_ = 0;

@@ -63,6 +63,8 @@ class MaliciousProxy final : public netem::IngressInterceptor {
   const std::optional<MaliciousAction>& armed() const { return action_; }
 
   bool is_malicious(NodeId node) const { return malicious_.count(node) != 0; }
+  /// Honest senders bypass the proxy: on_send would only pass them through.
+  bool intercepts(NodeId src) const override { return is_malicious(src); }
   const ProxyStats& stats() const { return stats_; }
 
   /// Enable the bounded audit log (see proxy/audit.h). Off by default; the

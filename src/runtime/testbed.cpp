@@ -30,6 +30,10 @@ class Testbed::Ctx final : public vm::GuestContext {
     tb_.emu_.send_message(m_.id(), dst, std::move(message));
   }
 
+  void send_shared(NodeId dst, const MessageBuf& message) override {
+    tb_.emu_.send_message(m_.id(), dst, message);
+  }
+
   void set_timer(std::uint64_t timer_id, Duration delay) override {
     auto& gen = tb_.timer_gen_[{m_.id(), timer_id}];
     ++gen;  // invalidates any previously armed instance
@@ -84,8 +88,8 @@ Testbed::Testbed(TestbedConfig cfg, GuestFactory factory)
 
 Testbed::~Testbed() = default;
 
-void Testbed::guard_guest_call(vm::VirtualMachine& m,
-                               const std::function<void()>& call) {
+template <typename Call>
+void Testbed::guard_guest_call(vm::VirtualMachine& m, Call&& call) {
   // The crash-capture boundary: what would be a segfault or failed assert in
   // a native binary surfaces here as an exception from guest code. Platform
   // bugs (std::logic_error from TURRET_CHECK) are *not* absorbed.

@@ -190,8 +190,12 @@ class Testbed final : public netem::MessageSink {
 
   void enqueue_input(NodeId node, vm::GuestInput input);
   void run_handler(NodeId node);
-  void guard_guest_call(vm::VirtualMachine& m,
-                        const std::function<void()>& call);
+  /// Run `call` (a guest handler invocation) inside the crash-capture
+  /// boundary. A template, not std::function: the handler lambdas capture
+  /// more than the small-buffer size, so type erasure would allocate on
+  /// every guest call.
+  template <typename Call>
+  void guard_guest_call(vm::VirtualMachine& m, Call&& call);
 
   vm::MemoryProfile effective_profile() const;
   /// Materialize the per-VM memory mirrors on first use, then fold each VM's

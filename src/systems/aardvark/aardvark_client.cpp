@@ -13,12 +13,12 @@ void AardvarkClient::send_request(vm::GuestContext& ctx, bool broadcast) {
   req.client = ctx.self();
   req.timestamp = timestamp_;
   req.payload = Bytes(cfg_.payload_size, static_cast<std::uint8_t>(timestamp_));
-  const Bytes bytes = req.encode();
+  const MessageBuf bytes(req.encode());  // shared by every send
   charge_sign(ctx, cfg_);  // Aardvark clients always sign
   if (broadcast) {
-    for (NodeId r = 0; r < cfg_.n; ++r) ctx.send(r, bytes);
+    for (NodeId r = 0; r < cfg_.n; ++r) ctx.send_shared(r, bytes);
   } else {
-    ctx.send(primary_, bytes);
+    ctx.send_shared(primary_, bytes);
     sent_at_ = ctx.now();
   }
   ctx.set_timer(kRetryTimer, cfg_.client_timeout);

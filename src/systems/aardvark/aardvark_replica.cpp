@@ -38,12 +38,13 @@ bool AardvarkReplica::flood_check(vm::GuestContext& ctx, NodeId src) {
   return true;
 }
 
-void AardvarkReplica::broadcast(vm::GuestContext& ctx, const Bytes& msg) {
+void AardvarkReplica::broadcast(vm::GuestContext& ctx, Bytes msg) {
   charge_sign(ctx, cfg_.base);
+  const MessageBuf shared(std::move(msg));  // one buffer for every peer
   for (NodeId r = 0; r < cfg_.base.n; ++r) {
     if (r == ctx.self()) continue;
     charge_mac(ctx, cfg_.base);
-    ctx.send(r, msg);
+    ctx.send_shared(r, shared);
   }
 }
 

@@ -98,10 +98,9 @@ void HotstuffReplica::propose(vm::GuestContext& ctx, std::uint32_t view) {
   p.client = b.client;
   p.payload = b.payload;
 
-  const Bytes inner = p.encode();
-  const Bytes sealed = seal_message(adapter_, ctx, cfg_, inner);
+  const MessageBuf sealed(seal_message(adapter_, ctx, cfg_, p.encode()));
   for (NodeId r = 0; r < cfg_.n; ++r) {
-    if (r != ctx.self()) ctx.send(r, sealed);
+    if (r != ctx.self()) ctx.send_shared(r, sealed);
   }
   process_proposal(ctx, p);  // the leader's own copy skips the network
 }

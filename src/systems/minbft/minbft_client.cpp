@@ -11,8 +11,8 @@ void MinbftClient::send_request(vm::GuestContext& ctx) {
   req.client = ctx.self();
   req.timestamp = timestamp_;
   req.payload = Bytes(cfg_.payload_size, static_cast<std::uint8_t>(timestamp_));
-  const Bytes sealed = seal_message(adapter_, ctx, cfg_, req.encode());
-  for (NodeId r = 0; r < cfg_.n; ++r) ctx.send(r, sealed);
+  const MessageBuf sealed(seal_message(adapter_, ctx, cfg_, req.encode()));
+  for (NodeId r = 0; r < cfg_.n; ++r) ctx.send_shared(r, sealed);
   sent_at_ = ctx.now();
   ctx.set_timer(kRetryTimer, cfg_.client_timeout);
 }

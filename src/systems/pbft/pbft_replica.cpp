@@ -67,12 +67,13 @@ std::uint32_t PbftReplica::primary_of(std::uint32_t view) const {
   return view % cfg_.n;
 }
 
-void PbftReplica::broadcast(vm::GuestContext& ctx, const Bytes& msg) {
+void PbftReplica::broadcast(vm::GuestContext& ctx, Bytes msg) {
   charge_sign(ctx, cfg_);
+  const MessageBuf shared(std::move(msg));  // one buffer for every peer
   for (NodeId r = 0; r < cfg_.n; ++r) {
     if (r == ctx.self()) continue;
     charge_mac(ctx, cfg_);
-    ctx.send(r, msg);
+    ctx.send_shared(r, shared);
   }
 }
 

@@ -78,7 +78,7 @@ class PbftReplica final : public vm::GuestNode {
   };
 
   std::uint32_t primary_of(std::uint32_t view) const;
-  void broadcast(vm::GuestContext& ctx, const Bytes& msg);
+  void broadcast(vm::GuestContext& ctx, Bytes msg);
   void propose(vm::GuestContext& ctx, std::uint32_t client,
                std::uint64_t timestamp, const Bytes& payload);
   void maybe_send_prepare(vm::GuestContext& ctx, std::uint64_t seq);

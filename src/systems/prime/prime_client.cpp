@@ -14,12 +14,12 @@ void PrimeClient::send_update(vm::GuestContext& ctx, bool broadcast) {
   up.timestamp = timestamp_;
   up.payload = Bytes(cfg_.base.payload_size,
                      static_cast<std::uint8_t>(timestamp_));
-  const Bytes bytes = up.encode();
+  const MessageBuf bytes(up.encode());  // shared by every send
   charge_sign(ctx, cfg_.base);
   if (broadcast) {
-    for (NodeId r = 0; r < cfg_.base.n; ++r) ctx.send(r, bytes);
+    for (NodeId r = 0; r < cfg_.base.n; ++r) ctx.send_shared(r, bytes);
   } else {
-    ctx.send(origin_, bytes);
+    ctx.send_shared(origin_, bytes);
     sent_at_ = ctx.now();
   }
   ctx.set_timer(kRetryTimer, cfg_.base.client_timeout);

@@ -8,12 +8,13 @@
 
 namespace turret::systems::prime {
 
-void PrimeReplica::broadcast(vm::GuestContext& ctx, const Bytes& msg) {
+void PrimeReplica::broadcast(vm::GuestContext& ctx, Bytes msg) {
   charge_sign(ctx, cfg_.base);
+  const MessageBuf shared(std::move(msg));  // one buffer for every peer
   for (NodeId r = 0; r < n(); ++r) {
     if (r == ctx.self()) continue;
     charge_mac(ctx, cfg_.base);
-    ctx.send(r, msg);
+    ctx.send_shared(r, shared);
   }
 }
 

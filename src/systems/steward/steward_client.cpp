@@ -14,12 +14,12 @@ void StewardClient::send_update(vm::GuestContext& ctx, bool broadcast) {
   up.timestamp = timestamp_;
   up.payload = Bytes(cfg_.base.payload_size,
                      static_cast<std::uint8_t>(timestamp_));
-  const Bytes bytes = up.encode();
+  const MessageBuf bytes(up.encode());  // shared by every send
   charge_sign(ctx, cfg_.base);
   if (broadcast) {
-    for (NodeId r = 0; r < cfg_.site_size; ++r) ctx.send(r, bytes);
+    for (NodeId r = 0; r < cfg_.site_size; ++r) ctx.send_shared(r, bytes);
   } else {
-    ctx.send(0, bytes);  // leader site's initial representative
+    ctx.send_shared(0, bytes);  // leader site's initial representative
     sent_at_ = ctx.now();
   }
   ctx.set_timer(kRetryTimer, kRetryTimeout);

@@ -36,13 +36,14 @@ StewardReplica::Entry StewardReplica::Entry::load(serial::Reader& r) {
   return e;
 }
 
-void StewardReplica::site_broadcast(vm::GuestContext& ctx, const Bytes& msg) {
+void StewardReplica::site_broadcast(vm::GuestContext& ctx, Bytes msg) {
   charge_sign(ctx, cfg_.base);
   const std::uint32_t site = my_site(ctx);
+  const MessageBuf shared(std::move(msg));  // one buffer for every peer
   for (NodeId r = site * cfg_.site_size; r < (site + 1) * cfg_.site_size; ++r) {
     if (r == ctx.self()) continue;
     charge_mac(ctx, cfg_.base);
-    ctx.send(r, msg);
+    ctx.send_shared(r, shared);
   }
 }
 
@@ -73,9 +74,10 @@ void StewardReplica::on_timer(vm::GuestContext& ctx, std::uint64_t timer_id) {
             p.site = 0;
             p.request = e.request;
             ctx.consume_cpu(cfg_.threshold_combine);
+            const MessageBuf shared(p.encode());
             for (NodeId r = cfg_.site_size; r < 2 * cfg_.site_size; ++r) {
               charge_mac(ctx, cfg_.base);
-              ctx.send(r, p.encode());
+              ctx.send_shared(r, shared);
             }
             e.proposed_at = ctx.now();
           }

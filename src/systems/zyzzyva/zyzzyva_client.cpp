@@ -13,12 +13,12 @@ void ZyzzyvaClient::send_request(vm::GuestContext& ctx, bool broadcast) {
   req.client = ctx.self();
   req.timestamp = timestamp_;
   req.payload = Bytes(cfg_.payload_size, static_cast<std::uint8_t>(timestamp_));
-  const Bytes bytes = req.encode();
+  const MessageBuf bytes(req.encode());  // shared by every send
   charge_sign(ctx, cfg_);
   if (broadcast) {
-    for (NodeId r = 0; r < cfg_.n; ++r) ctx.send(r, bytes);
+    for (NodeId r = 0; r < cfg_.n; ++r) ctx.send_shared(r, bytes);
   } else {
-    ctx.send(primary_, bytes);
+    ctx.send_shared(primary_, bytes);
     sent_at_ = ctx.now();
   }
   ctx.set_timer(kRetryTimer, cfg_.client_timeout);
@@ -76,7 +76,8 @@ void ZyzzyvaClient::on_timer(vm::GuestContext& ctx, std::uint64_t timer_id) {
       cc.client = ctx.self();
       cc.n_spec_replies = static_cast<std::uint32_t>(spec_replicas_.size());
       charge_sign(ctx, cfg_);
-      for (NodeId r = 0; r < cfg_.n; ++r) ctx.send(r, cc.encode());
+      const MessageBuf shared(cc.encode());
+      for (NodeId r = 0; r < cfg_.n; ++r) ctx.send_shared(r, shared);
     }
     return;
   }

@@ -35,7 +35,7 @@ class ZyzzyvaReplica final : public vm::GuestNode {
   static constexpr std::uint64_t kProgressTimer = 1;
 
   std::uint32_t primary_of(std::uint32_t view) const { return view % cfg_.n; }
-  void broadcast(vm::GuestContext& ctx, const Bytes& msg);
+  void broadcast(vm::GuestContext& ctx, Bytes msg);
   void order(vm::GuestContext& ctx, std::uint32_t client,
              std::uint64_t timestamp, const Bytes& payload);
   void spec_execute(vm::GuestContext& ctx, const OrderRequest& oreq);

@@ -13,6 +13,7 @@
 #include <string_view>
 
 #include "common/bytes.h"
+#include "common/msgbuf.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "serial/serial.h"
@@ -41,6 +42,14 @@ class GuestContext {
   /// Send an application message to another node. The message enters the
   /// emulated network (and the malicious proxy, if the sender is malicious).
   virtual void send(NodeId dst, Bytes message) = 0;
+
+  /// Send an already-wrapped message. The buffer is immutable, so a fan-out
+  /// loop wraps the encoded message once and every destination shares it:
+  /// the network never copies the bytes. The default copies into send(), so
+  /// contexts that only override send() still see every message.
+  virtual void send_shared(NodeId dst, const MessageBuf& message) {
+    send(dst, message.to_bytes());
+  }
 
   /// Arm a one-shot timer. Re-arming the same id replaces the previous one.
   virtual void set_timer(std::uint64_t timer_id, Duration delay) = 0;
