@@ -27,10 +27,12 @@ class Testbed::Ctx final : public vm::GuestContext {
   Rng& rng() override { return m_.rng(); }
 
   void send(NodeId dst, Bytes message) override {
+    if (unroutable(dst)) return;
     tb_.emu_.send_message(m_.id(), dst, std::move(message));
   }
 
   void send_shared(NodeId dst, const MessageBuf& message) override {
+    if (unroutable(dst)) return;
     tb_.emu_.send_message(m_.id(), dst, message);
   }
 
@@ -60,6 +62,15 @@ class Testbed::Ctx final : public vm::GuestContext {
   Duration extra_cpu() const { return extra_cpu_; }
 
  private:
+  /// A send to a node id outside the cluster (a guest trusting a lied id) is
+  /// guest behaviour, not a platform error: the message is dropped and
+  /// counted, and the emulator's own range check stays for platform callers.
+  bool unroutable(NodeId dst) {
+    if (dst < tb_.nodes()) return false;
+    tb_.metrics_.count("unroutable", now());
+    return true;
+  }
+
   Testbed& tb_;
   vm::VirtualMachine& m_;
   Duration extra_cpu_ = 0;
@@ -88,22 +99,27 @@ Testbed::Testbed(TestbedConfig cfg, GuestFactory factory)
 
 Testbed::~Testbed() = default;
 
+FailureClass classify_failure(const std::exception& e) {
+  if (dynamic_cast<const netem::BudgetExceededError*>(&e) != nullptr ||
+      dynamic_cast<const std::logic_error*>(&e) != nullptr) {
+    return FailureClass::kDeterministic;
+  }
+  if (dynamic_cast<const fault::FaultError*>(&e) != nullptr)
+    return FailureClass::kTransient;
+  return FailureClass::kOther;
+}
+
 template <typename Call>
 void Testbed::guard_guest_call(vm::VirtualMachine& m, Call&& call) {
   // The crash-capture boundary: what would be a segfault or failed assert in
   // a native binary surfaces here as an exception from guest code. Platform
-  // bugs (std::logic_error from TURRET_CHECK) are *not* absorbed.
+  // conditions (invariants, injected faults, budget aborts) are *not*
+  // absorbed: they surface at the branch containment layer instead of
+  // masquerading as guest crashes, which would classify as attacks.
   try {
     call();
-  } catch (const std::logic_error&) {
-    throw;
-  } catch (const fault::FaultError&) {
-    // Injected platform faults must surface at the branch containment layer,
-    // not masquerade as guest crashes (which would classify as attacks).
-    throw;
-  } catch (const netem::BudgetExceededError&) {
-    throw;  // runaway-branch abort, likewise a platform condition
   } catch (const std::exception& e) {
+    if (classify_failure(e) != FailureClass::kOther) throw;
     m.mark_crashed(emu_.now(), e.what());
     metrics_.count("guest_crashes", emu_.now());
     TLOG_INFO("guest %u crashed at %s: %s", m.id(),

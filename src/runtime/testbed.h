@@ -14,6 +14,7 @@
 // three properties the paper notes make this simpler than Chandy-Lamport.
 #pragma once
 
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -34,6 +35,23 @@ namespace turret::runtime {
 /// snapshot restore (guest objects are rebuilt, then their state is loaded).
 using GuestFactory =
     std::function<std::unique_ptr<vm::GuestNode>(NodeId id)>;
+
+/// How the platform treats an exception escaping a guest call or a branch
+/// attempt (DESIGN.md §5b). One classifier serves both boundaries: the
+/// testbed's crash capture and the search layer's contain().
+enum class FailureClass : std::uint8_t {
+  /// netem::BudgetExceededError (a runaway branch) or std::logic_error (a
+  /// TURRET_CHECK invariant): the same input fails the same way again, so
+  /// contain() quarantines on the first hit.
+  kDeterministic,
+  /// fault::FaultError from an armed injection site: contain() retries.
+  kTransient,
+  /// Anything else: a guest crash at the guest boundary; contain() treats
+  /// it as transient.
+  kOther,
+};
+
+FailureClass classify_failure(const std::exception& e);
 
 /// How this testbed encodes whole-system snapshots (DESIGN.md §5e).
 struct SnapshotPolicy {

@@ -1,17 +1,11 @@
 #include "search/algorithms.h"
 
 #include <algorithm>
-#include <future>
 #include <map>
 #include <set>
 
-#include "common/check.h"
-#include "common/fault.h"
 #include "common/log.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
-#include "netem/emulator.h"
-#include "search/journal.h"
 #include "search/provenance.h"
 
 namespace turret::search {
@@ -78,34 +72,6 @@ EvalSet evaluate_all(BranchExecutor& exec,
     }
   }
   return es;
-}
-
-/// Brute force's containment loop: the same retry/quarantine semantics as
-/// BranchExecutor::attempt_branch, but around a full scenario execution
-/// (brute force never branches, so it has no executor to lean on).
-template <typename Fn>
-BranchResult attempt_full_run(const Scenario& sc, Fn&& fn) {
-  BranchResult r;
-  const int max_attempts = 1 + std::max(0, sc.fault.max_retries);
-  for (int attempt = 1;; ++attempt) {
-    r.attempts = static_cast<std::uint32_t>(attempt);
-    try {
-      fault::inject(fault::kBranchExec);
-      r.outcome = fn();
-      r.error.clear();
-      return r;
-    } catch (const netem::BudgetExceededError& e) {
-      r.error = e.what();
-      if (trace::active())
-        trace::counters().budget_aborts.fetch_add(1, std::memory_order_relaxed);
-      return r;  // deterministic runaway: quarantine immediately
-    } catch (const std::exception& e) {
-      r.error = e.what();
-    } catch (...) {
-      r.error = "unknown error";
-    }
-    if (attempt >= max_attempts) return r;
-  }
 }
 
 /// Effect classification shared by every algorithm: crash and halt dominate;
@@ -180,15 +146,17 @@ std::string action_key(wire::TypeTag tag, const proxy::MaliciousAction& a) {
 
 SearchResult brute_force_search(const Scenario& sc, Journal* journal,
                                 ProvenanceStore* provenance) {
+  BranchExecutor exec(sc);
+  exec.set_journal(journal);
+  exec.set_provenance(provenance);
+
   SearchResult res;
   res.algorithm = "brute-force";
-  SearchCost& cost = res.cost;
 
-  // Benign execution: first-send time per message type and per-type baseline
-  // windows. Obtained once (the algorithm's only shared state).
+  // Benign execution: the first-send time of each message type (brute
+  // force's injection points) and the whole-run baseline.
   std::map<wire::TypeTag, Time> first_send;
   std::vector<wire::TypeTag> order;
-  WindowPerf benign;
   {
     ScenarioWorld w = make_scenario_world(sc);
     w.proxy->set_observer([&](NodeId, NodeId, wire::TypeTag tag) -> bool {
@@ -199,9 +167,10 @@ SearchResult brute_force_search(const Scenario& sc, Journal* journal,
     });
     w.testbed->start();
     w.testbed->run_until(sc.duration);
-    cost.execution += sc.duration;
-    benign = measure_window(sc.metric, *w.testbed, sc.warmup,
-                            sc.warmup + sc.window);
+    exec.cost().execution += sc.duration;
+    res.baseline_performance =
+        measure_window(sc.metric, *w.testbed, sc.warmup, sc.warmup + sc.window)
+            .value;
     if (provenance != nullptr) {
       provenance->add(std::make_shared<const BranchProvenance>(
           harvest_provenance(w, sc, "discover", 0, sc.duration, 0)));
@@ -216,432 +185,58 @@ SearchResult brute_force_search(const Scenario& sc, Journal* journal,
     }
   }
 
-  // Brute force cannot branch, so every measurement below is an independent
-  // full execution from t = 0 — exactly the shape a worker pool wants. All
-  // executions (per-type baselines and per-action attack runs) are fanned out
-  // across the pool; the merge then replays the serial per-tag, per-action
-  // order so cost accounting and found_after are byte-identical to a
-  // single-worker run.
-  auto window_perf = [&sc](const runtime::Testbed& tb, Time t0,
-                           Time t1) -> WindowPerf {
-    return measure_window(sc.metric, tb, t0, t1);
-  };
-
-  // Every execution is a contained BranchResult: baseline runs carry one
-  // window, attack runs two windows + a crash count. `cached` slots hold
-  // journal replays; only misses get a future. With pruning on, a follower
-  // slot holds neither — `equivalent_to` names the canonical run whose
-  // settled result it inherits at merge time.
-  struct TagWork {
-    wire::TypeTag tag = 0;
-    std::string name;
-    Time t0 = 0;
-    std::vector<proxy::MaliciousAction> actions;
-    std::optional<BranchResult> base_cached;
-    std::future<BranchResult> base;
-    std::vector<std::optional<BranchResult>> run_cached;
-    std::vector<std::future<BranchResult>> runs;
-    std::vector<std::optional<Digest128>> digests;   ///< prune fingerprints
-    std::vector<std::string> equivalent_to;          ///< non-empty = follower
-  };
-  const auto base_key = [](const TagWork& tw) {
-    return "bf|" + std::to_string(tw.tag) + "|base";
-  };
-  const auto run_key = [](const TagWork& tw, std::size_t i) {
-    return "bf|" + std::to_string(tw.tag) + "|" + tw.actions[i].describe();
-  };
-
-  // Enumerate every execution first (futures reference the stored actions).
-  std::vector<TagWork> work;
-  for (wire::TypeTag tag : order) {
+  // Brute force cannot branch, so its injection points are cold: every
+  // execution, the per-type baseline included, is a fresh run from t = 0
+  // with the action armed from the start. The executor runs, retries,
+  // prunes, charges and journals them like any other branch.
+  for (const wire::TypeTag tag : order) {
     const wire::MessageSpec* spec = sc.schema->by_tag(tag);
     if (spec == nullptr) continue;
-    TagWork tw;
-    tw.tag = tag;
-    tw.name = spec->name;
-    tw.t0 = first_send.at(tag);
-    tw.actions = proxy::enumerate_actions(*spec, sc.actions);
-    work.push_back(std::move(tw));
-  }
-
-  ThreadPool pool;
-
-  // Branch-equivalence pruning, brute-force shape (DESIGN.md §5f). Brute
-  // force has no snapshots, so a settle run is a full execution from t = 0
-  // to t0 + settle — still far cheaper than the t0 + 2w a pruned run skips.
-  // The table maps fingerprint → canonical run key; claims are made serially
-  // in (tag, action) order during enumeration, so the canonical choice is
-  // identical at any --jobs. Journal-replayed canonical records re-seed the
-  // table for --resume fidelity.
-  std::map<Digest128, std::string> prune_table;
-  const auto brute_fingerprint =
-      [&sc](const proxy::MaliciousAction& action, Time t0,
-            Time t_end) -> std::optional<Digest128> {
-    try {
-      ScenarioWorld w = make_scenario_world(sc);
-      w.testbed->emulator().set_event_budget(sc.fault.max_branch_events);
-      w.proxy->arm(action);
-      w.testbed->start();
-      const Time t_s = t0 + sc.prune.settle;
-      w.testbed->run_until(t_s);
-      Hasher128 h;
-      h.update("turret-prune-bf1");
-      h.update_i64(t0);
-      h.update_i64(sc.window);
-      h.update_digest(w.testbed->fleet_fingerprint(t0, t_end));
-      w.proxy->residual_fingerprint(h, t_end - t_s);
-      if (trace::active()) {
-        trace::Counters& c = trace::counters();
-        c.fingerprints.fetch_add(1, std::memory_order_relaxed);
-        c.prune_settle_ns.fetch_add(static_cast<std::uint64_t>(t_s),
-                                    std::memory_order_relaxed);
-      }
-      return h.digest();
-    } catch (...) {
-      return std::nullopt;  // settle failed: the run executes live instead
-    }
-  };
-
-  for (TagWork& tw : work) {
-    // Cooperative cancellation between message types: everything submitted so
-    // far still drains (the pool destructor runs queued tasks), and nothing
-    // past this type was journaled, so --resume picks up exactly here.
-    if (cancel_requested()) throw CancelledError();
-    const Time t0 = tw.t0;
-    const Time t_end = t0 + 2 * sc.window;
-    // Per-type baseline window from a dedicated benign run (brute force can
-    // not branch, so it pays a full execution even for the baseline). A
-    // journaled result replays from disk instead of executing.
-    if (journal != nullptr) {
-      if (std::optional<Bytes> rec = journal->replay(base_key(tw))) {
-        tw.base_cached = decode_branch_result(*rec);
-        if (trace::active())
-          trace::counters().journal_replays.fetch_add(
-              1, std::memory_order_relaxed);
-      }
-    }
-    if (!tw.base_cached) {
-      // Harvest keys are captured by value: the lambda may outlive this loop
-      // iteration, and each task needs its own branch identity.
-      tw.base = pool.submit([&sc, &window_perf, t0,
-                             harvest = provenance != nullptr,
-                             key = base_key(tw)] {
-        return attempt_full_run(sc, [&] {
-          ScenarioWorld w = make_scenario_world(sc);
-          w.testbed->emulator().set_event_budget(sc.fault.max_branch_events);
-          w.testbed->start();
-          w.testbed->run_until(t0 + sc.window);
-          BranchExecutor::BranchOutcome out;
-          out.windows = {window_perf(*w.testbed, t0, t0 + sc.window)};
-          if (harvest) {
-            out.provenance = std::make_shared<const BranchProvenance>(
-                harvest_provenance(w, sc, key, t0, t0 + sc.window, 1));
-          }
-          return out;
-        });
-      });
-    }
-    tw.run_cached.resize(tw.actions.size());
-    tw.runs.resize(tw.actions.size());
-    tw.digests.resize(tw.actions.size());
-    tw.equivalent_to.resize(tw.actions.size());
-    for (std::size_t i = 0; i < tw.actions.size(); ++i) {
-      if (journal != nullptr) {
-        if (std::optional<Bytes> rec = journal->replay(run_key(tw, i))) {
-          tw.run_cached[i] = decode_branch_result(*rec);
-          // Re-seed the prune table from replayed canonical records so runs
-          // the interrupted search never reached prune identically.
-          if (sc.prune.enabled && tw.run_cached[i]->fingerprint) {
-            prune_table.emplace(*tw.run_cached[i]->fingerprint, run_key(tw, i));
-          }
-          if (trace::active())
-            trace::counters().journal_replays.fetch_add(
-                1, std::memory_order_relaxed);
-        }
-      }
-    }
-
-    if (sc.prune.enabled) {
-      // Phase 1: settle + fingerprint every live run of this tag (parallel).
-      std::vector<std::future<std::optional<Digest128>>> fps(
-          tw.actions.size());
-      for (std::size_t i = 0; i < tw.actions.size(); ++i) {
-        if (tw.run_cached[i]) continue;
-        const proxy::MaliciousAction& action = tw.actions[i];
-        fps[i] = pool.submit([&brute_fingerprint, &action, t0, t_end] {
-          return brute_fingerprint(action, t0, t_end);
-        });
-      }
-      std::vector<std::string> fp_errors;
-      for (std::size_t i = 0; i < tw.actions.size(); ++i) {
-        if (!fps[i].valid()) continue;
-        try {
-          tw.digests[i] = fps[i].get();
-        } catch (const std::exception& e) {
-          fp_errors.push_back(e.what());
-        } catch (...) {
-          fp_errors.push_back("unknown error");
-        }
-      }
-      if (!fp_errors.empty()) throw AggregateBranchError(fp_errors);
-      // Phase 2: first-writer-wins claims in action order (serial — the
-      // source of determinism). Followers get no future; they inherit the
-      // canonical result at merge time.
-      for (std::size_t i = 0; i < tw.actions.size(); ++i) {
-        if (tw.run_cached[i] || !tw.digests[i]) continue;
-        auto [it, inserted] =
-            prune_table.emplace(*tw.digests[i], run_key(tw, i));
-        if (!inserted) {
-          tw.equivalent_to[i] = it->second;
-          tw.digests[i].reset();  // only canonical records journal a digest
-        }
-      }
-      if (trace::active()) {
-        trace::counters().prune_table_entries.store(
-            prune_table.size(), std::memory_order_relaxed);
-      }
-    }
-
-    for (std::size_t i = 0; i < tw.actions.size(); ++i) {
-      if (tw.run_cached[i] || !tw.equivalent_to[i].empty()) continue;
-      // A full execution per scenario, attack armed from the start; the
-      // injection point is still the first send of the type, which the armed
-      // action is what transforms.
-      const proxy::MaliciousAction& action = tw.actions[i];
-      tw.runs[i] = pool.submit([&sc, &window_perf, &action, t0, t_end,
-                                harvest = provenance != nullptr,
-                                key = run_key(tw, i)] {
-        return attempt_full_run(sc, [&] {
-          ScenarioWorld w = make_scenario_world(sc);
-          w.testbed->emulator().set_event_budget(sc.fault.max_branch_events);
-          w.proxy->arm(action);
-          w.testbed->start();
-          w.testbed->run_until(t_end);
-          BranchExecutor::BranchOutcome out;
-          out.windows = {window_perf(*w.testbed, t0, t0 + sc.window),
-                         window_perf(*w.testbed, t0 + sc.window, t_end)};
-          out.new_crashes =
-              static_cast<std::uint32_t>(w.testbed->crashed_nodes().size());
-          if (harvest) {
-            out.provenance = std::make_shared<const BranchProvenance>(
-                harvest_provenance(w, sc, key, t0, t_end, 2));
-          }
-          return out;
-        });
-      });
-    }
-  }
-
-  // Deterministic merge in original (tag, action) order. Every future is
-  // drained before any error escapes — tasks reference this frame — and
-  // harness-level errors (containment catches everything a run can throw)
-  // are aggregated rather than dropped after the first.
-  std::vector<std::string> harness_errors;
-  const auto settle = [&harness_errors](std::optional<BranchResult>& cached,
-                                        std::future<BranchResult>& fut) {
-    if (cached) return *std::move(cached);
-    try {
-      return fut.get();
-    } catch (const std::exception& e) {
-      harness_errors.push_back(e.what());
-    } catch (...) {
-      harness_errors.push_back("unknown error");
-    }
-    BranchResult r;
-    r.error = "harness error";
-    return r;
-  };
-
-  // Canonical run results (provenance stripped), kept for follower
-  // inheritance. Keys are global: a follower may reference a canonical run
-  // from an earlier tag when their settled states coincide.
-  std::map<std::string, BranchResult> canonical_results;
-
-  for (TagWork& tw : work) {
-    const Time t0 = tw.t0;
-    const Time t_end = t0 + 2 * sc.window;
+    BranchExecutor::InjectionPoint ip;
+    ip.tag = tag;
+    ip.message_name = spec->name;
+    ip.time = first_send.at(tag);
+    const std::vector<proxy::MaliciousAction> actions =
+        proxy::enumerate_actions(*spec, sc.actions);
     trace::Span tag_span("search", "brute-tag");
     if (trace::active()) {
-      tag_span.at(t0)
+      tag_span.at(ip.time)
           .lasted(2 * sc.window)
-          .arg("message", tw.name)
-          .arg("actions", static_cast<std::uint64_t>(tw.actions.size()));
-    }
-    BranchResult base_r = settle(tw.base_cached, tw.base);
-    if (journal != nullptr && !tw.base_cached) {
-      journal->append(base_key(tw), encode_branch_result(base_r));
-    }
-    if (provenance != nullptr && base_r.ok() &&
-        base_r.outcome->provenance != nullptr) {
-      provenance->add(base_r.outcome->provenance);
-    }
-    // Each attempt re-runs the full execution up to the measured window.
-    cost.execution += static_cast<Duration>(base_r.attempts) * (t0 + sc.window);
-    cost.branches += base_r.attempts;
-    cost.retries += base_r.attempts - 1;
-    if (trace::active()) {
-      trace::Counters& c = trace::counters();
-      c.branch_attempts.fetch_add(base_r.attempts, std::memory_order_relaxed);
-      c.branch_retries.fetch_add(base_r.attempts - 1,
-                                 std::memory_order_relaxed);
-      c.evaluate_ns.fetch_add(
-          static_cast<std::uint64_t>(base_r.attempts) * (t0 + sc.window),
-          std::memory_order_relaxed);
-    }
-    if (!base_r.ok()) {
-      // Without the per-type baseline nothing at this tag can be evaluated:
-      // quarantine the baseline, then drain (and charge) its attack runs.
-      FailedBranch f;
-      f.had_action = false;
-      f.tag = tw.tag;
-      f.message_name = tw.name;
-      f.injection_time = t0;
-      f.attempts = base_r.attempts;
-      f.error = base_r.error;
-      if (trace::active()) {
-        trace::counters().branch_quarantines.fetch_add(
-            1, std::memory_order_relaxed);
-        trace::instant("search", "quarantine", t0,
-                       trace::Args()
-                           .add("message", tw.name)
-                           .add("branch", tw.name + " baseline")
-                           .add("attempts",
-                                static_cast<std::uint64_t>(f.attempts))
-                           .take());
-      }
-      res.failed.push_back(std::move(f));
+          .arg("message", ip.message_name)
+          .arg("actions", static_cast<std::uint64_t>(actions.size()));
     }
 
-    for (std::size_t i = 0; i < tw.runs.size(); ++i) {
-      BranchResult run_r;
-      if (!tw.run_cached[i] && !tw.equivalent_to[i].empty()) {
-        // Follower: inherit the canonical run's outcome — merge order
-        // guarantees the canonical (earlier in (tag, action) order) has
-        // already settled. Attempts/error are what this run would have
-        // produced itself (equivalent state, deterministic platform), so
-        // the cost charges below match a prune-off search exactly.
-        auto cit = canonical_results.find(tw.equivalent_to[i]);
-        TURRET_CHECK_MSG(cit != canonical_results.end(),
-                         "brute follower without settled canonical");
-        run_r.attempts = cit->second.attempts;
-        run_r.error = cit->second.error;
-        if (cit->second.outcome) {
-          BranchExecutor::BranchOutcome o;
-          o.windows = cit->second.outcome->windows;
-          o.new_crashes = cit->second.outcome->new_crashes;
-          run_r.outcome = std::move(o);
-        }
-        run_r.pruned = true;
-        run_r.equivalent_to = tw.equivalent_to[i];
-        if (trace::active()) {
-          trace::Counters& c = trace::counters();
-          c.branches_pruned.fetch_add(1, std::memory_order_relaxed);
-          const Duration skipped = t_end - (t0 + sc.prune.settle);
-          if (skipped > 0)
-            c.prune_skipped_ns.fetch_add(static_cast<std::uint64_t>(skipped),
-                                         std::memory_order_relaxed);
-          trace::instant("search", "prune", t0,
-                         trace::Args()
-                             .add("message", tw.name)
-                             .add("action", tw.actions[i].describe())
-                             .add("equivalent_to", run_r.equivalent_to)
-                             .take());
-        }
-      } else {
-        run_r = settle(tw.run_cached[i], tw.runs[i]);
-        if (tw.digests[i]) run_r.fingerprint = tw.digests[i];
-      }
-      if (run_r.fingerprint) {
-        BranchResult c;
-        c.attempts = run_r.attempts;
-        c.error = run_r.error;
-        if (run_r.outcome) {
-          BranchExecutor::BranchOutcome o;  // provenance deliberately dropped
-          o.windows = run_r.outcome->windows;
-          o.new_crashes = run_r.outcome->new_crashes;
-          c.outcome = std::move(o);
-        }
-        c.fingerprint = run_r.fingerprint;
-        canonical_results[run_key(tw, i)] = std::move(c);
-      }
-      if (journal != nullptr && !tw.run_cached[i]) {
-        journal->append(run_key(tw, i), encode_branch_result(run_r));
-      }
-      if (provenance != nullptr && run_r.ok() &&
-          run_r.outcome->provenance != nullptr) {
-        provenance->add(run_r.outcome->provenance);
-      }
-      if (provenance != nullptr && run_r.pruned &&
-          !run_r.equivalent_to.empty()) {
-        provenance->add_alias(run_key(tw, i), run_r.equivalent_to);
-      }
-      // Charged whether or not the run produced an outcome: a throwing
-      // branch still executed (satellite fix — the old path skipped both
-      // charges, so faulted searches under-reported found_after).
-      cost.execution += static_cast<Duration>(run_r.attempts) * t_end;
-      cost.branches += run_r.attempts;
-      cost.retries += run_r.attempts - 1;
-      if (trace::active()) {
-        trace::Counters& c = trace::counters();
-        c.branch_attempts.fetch_add(run_r.attempts, std::memory_order_relaxed);
-        c.branch_retries.fetch_add(run_r.attempts - 1,
-                                   std::memory_order_relaxed);
-        c.classify_ns.fetch_add(
-            static_cast<std::uint64_t>(run_r.attempts) * t_end,
-            std::memory_order_relaxed);
-      }
-      if (!run_r.ok()) {
-        FailedBranch f;
-        f.action = tw.actions[i];
-        f.had_action = true;
-        f.tag = tw.tag;
-        f.message_name = tw.name;
-        f.injection_time = t0;
-        f.attempts = run_r.attempts;
-        f.error = run_r.error;
-        if (trace::active()) {
-          trace::counters().branch_quarantines.fetch_add(
-              1, std::memory_order_relaxed);
-          trace::instant("search", "quarantine", t0,
-                         trace::Args()
-                             .add("message", tw.name)
-                             .add("branch", f.action.describe())
-                             .add("attempts",
-                                  static_cast<std::uint64_t>(f.attempts))
-                             .take());
-        }
-        res.failed.push_back(std::move(f));
+    // Every action runs even when the baseline quarantined: its outcome is
+    // charged and journaled, but has nothing to compare against.
+    const BranchResult base = exec.try_run_branch(ip, nullptr, 1);
+    std::vector<const proxy::MaliciousAction*> ptrs;
+    ptrs.reserve(actions.size());
+    for (const proxy::MaliciousAction& a : actions) ptrs.push_back(&a);
+    Duration running = exec.cost().total();
+    const std::vector<BranchResult> runs = exec.run_branches(ip, ptrs, 2);
+
+    // Replay the serial cost clock: each run pays its own charge, so
+    // found_after is the same whether runs executed, pruned or replayed.
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      running += runs[i].charged;
+      if (!base.ok() || !runs[i].ok()) continue;
+      const WindowPerf& b = base.outcome->windows[0];
+      const BranchExecutor::BranchOutcome& out = *runs[i].outcome;
+      const std::uint64_t tampers =
+          out.windows[0].tampers + out.windows[1].tampers;
+      if (out.new_crashes == 0 && tampers == 0 &&
+          compute_damage(sc.metric, b, out.windows[0]) <= sc.delta) {
         continue;
       }
-      if (!base_r.ok()) continue;  // outcome fine, but nothing to compare to
-
-      const WindowPerf& base = base_r.outcome->windows[0];
-      const WindowPerf& w0 = run_r.outcome->windows[0];
-      const WindowPerf& w1 = run_r.outcome->windows[1];
-      const std::uint32_t crashes = run_r.outcome->new_crashes;
-      const double damage = compute_damage(sc.metric, base, w0);
-      const std::uint64_t tampers = w0.tampers + w1.tampers;
-      if (crashes == 0 && damage <= sc.delta && tampers == 0) continue;
-
-      AttackReport rep;
-      rep.action = tw.actions[i];
-      rep.baseline_performance = base.value;
-      rep.attacked_performance = w0.value;
-      rep.recovery_performance = w1.value;
-      rep.damage = damage;
-      rep.crashed_nodes = crashes;
-      rep.tamper_detected = w0.tampers + w1.tampers;
-      rep.injection_time = t0;
-      rep.provenance_key = run_key(tw, i);
-      rep.baseline_key = base_key(tw);
-      rep.effect = classify_effect(sc, base, w0, w1, crashes);
-      fill_percentiles(rep, base, w0);
-      rep.found_after = cost.total();
+      AttackReport rep = make_report(sc, ip, actions[i], b, out);
+      rep.found_after = running;
+      rep.provenance_key = BranchExecutor::branch_key(ip, &actions[i], 2);
+      rep.baseline_key = BranchExecutor::branch_key(ip, nullptr, 1);
       res.attacks.push_back(std::move(rep));
     }
   }
-  if (!harness_errors.empty()) throw AggregateBranchError(harness_errors);
-  res.baseline_performance = benign.value;
+  res.cost = exec.cost();
+  res.failed = exec.failed();
   return res;
 }
 
@@ -839,12 +434,10 @@ SearchResult weighted_greedy_search(const Scenario& sc,
     // Replay: pick the not-yet-tried action from the highest-weight cluster
     // (stable: enumeration order breaks ties), so learned weights steer both
     // this message type's scan and every later one. `running` reconstructs
-    // the serial cost clock — each pick pays every attempt of its evaluation
+    // the serial cost clock — each pick pays the charge of its evaluation
     // branch and, if it qualifies, of its classification branch, so
     // found_after is identical whether branches ran live or replayed from a
     // journal.
-    const Duration eval_cost = sc.window + sc.branch_cost.load_cost;
-    const Duration classify_cost = 2 * sc.window + sc.branch_cost.load_cost;
     Duration running = cost_before;
     std::vector<std::size_t> alive(actions.size());
     for (std::size_t i = 0; i < alive.size(); ++i) alive[i] = i;
@@ -858,7 +451,7 @@ SearchResult weighted_greedy_search(const Scenario& sc,
       const std::size_t idx = alive[pick];
       alive.erase(alive.begin() + static_cast<std::ptrdiff_t>(pick));
 
-      running += static_cast<Duration>(es.results[idx].attempts) * eval_cost;
+      running += es.results[idx].charged;
       if (!es.evals[idx]) continue;  // evaluation quarantined
       if (es.evals[idx]->rank() <= sc.delta) continue;
 
@@ -868,8 +461,7 @@ SearchResult weighted_greedy_search(const Scenario& sc,
       // found attacks excluded is identical to continuing the scan, so we
       // continue — found_after still records when each attack surfaced.)
       const std::size_t qi = qualifying_index[idx];
-      running +=
-          static_cast<Duration>(classified[qi].attempts) * classify_cost;
+      running += classified[qi].charged;
       if (!classified[qi].ok()) continue;  // classification quarantined
       AttackReport rep =
           make_report(sc, ip, actions[idx], base, *classified[qi].outcome);

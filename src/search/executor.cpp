@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <future>
 #include <set>
+#include <type_traits>
 
 #include "common/backoff.h"
 #include "common/check.h"
@@ -332,40 +334,139 @@ const runtime::DecodedSnapshot& BranchExecutor::decoded(
   return *hit->snapshot;
 }
 
-ThreadPool& BranchExecutor::pool() {
-  const unsigned jobs = default_jobs();
-  if (pool_ == nullptr || pool_->size() != jobs)
-    pool_ = std::make_unique<ThreadPool>(jobs);
-  return *pool_;
+namespace {
+
+/// `r`'s outcome, attempts and error without its provenance: what the prune
+/// table keeps and a follower inherits.
+BranchExecutor::BranchResult without_provenance(
+    const BranchExecutor::BranchResult& r) {
+  BranchExecutor::BranchResult c;
+  c.attempts = r.attempts;
+  c.error = r.error;
+  if (r.outcome) {
+    BranchExecutor::BranchOutcome o;
+    o.windows = r.outcome->windows;
+    o.new_crashes = r.outcome->new_crashes;
+    c.outcome = std::move(o);
+  }
+  return c;
 }
 
-const runtime::DecodedSnapshot* BranchExecutor::try_decoded(
-    const InjectionPoint& ip, BranchResult* failure) {
-  const int max_attempts = 1 + std::max(0, sc_.fault.max_retries);
-  for (int attempt = 1;; ++attempt) {
+/// The quarantine record of a containment whose every attempt failed.
+template <typename T>
+BranchExecutor::BranchResult quarantine(const Contained<T>& c) {
+  BranchExecutor::BranchResult r;
+  r.attempts = c.attempts;
+  r.error = c.error;
+  return r;
+}
+
+/// The local fan-out: fn(k) for every k < n, results in order. Runs inline
+/// for one item or at --jobs 1. Otherwise it submits every item to `pool`
+/// (sized to default_jobs(), rebuilt when that changes), waits for all of
+/// them — the tasks reference the caller's frame — and reports every error
+/// together (AggregateBranchError) instead of dropping all but the first.
+template <typename Fn>
+auto fan_out(std::unique_ptr<ThreadPool>& pool, std::size_t n, Fn&& fn) {
+  using R = std::invoke_result_t<Fn&, std::size_t>;
+  std::vector<R> out;
+  out.reserve(n);
+  const unsigned jobs = default_jobs();
+  if (n <= 1 || jobs <= 1) {
+    for (std::size_t k = 0; k < n; ++k) out.push_back(fn(k));
+    return out;
+  }
+  if (pool == nullptr || pool->size() != jobs)
+    pool = std::make_unique<ThreadPool>(jobs);
+  std::vector<std::future<R>> futures;
+  futures.reserve(n);
+  for (std::size_t k = 0; k < n; ++k)
+    futures.push_back(pool->submit([&fn, k] { return fn(k); }));
+  std::vector<std::string> errors;
+  for (std::future<R>& f : futures) {
     try {
-      return &decoded(ip);
+      out.push_back(f.get());
     } catch (const std::exception& e) {
-      failure->attempts = static_cast<std::uint32_t>(attempt);
-      failure->error = e.what();
+      errors.push_back(e.what());
     } catch (...) {
-      failure->attempts = static_cast<std::uint32_t>(attempt);
-      failure->error = "unknown error";
+      errors.push_back("unknown error");
     }
-    if (attempt >= max_attempts) return nullptr;
+  }
+  if (!errors.empty()) throw AggregateBranchError(errors);
+  return out;
+}
+
+}  // namespace
+
+template <typename Fn>
+auto BranchExecutor::contain(Time at, Fn&& attempt) const {
+  Contained<std::invoke_result_t<Fn&>> c;
+  const std::uint32_t max_attempts =
+      1 + static_cast<std::uint32_t>(std::max(0, sc_.fault.max_retries));
+  std::optional<Backoff> backoff;
+  for (;;) {
+    ++c.attempts;
+    try {
+      c.value.emplace(attempt());
+      c.error.clear();
+      return c;
+    } catch (const std::exception& e) {
+      c.error = e.what();
+      c.runaway =
+          dynamic_cast<const netem::BudgetExceededError*>(&e) != nullptr;
+      if (c.runaway && trace::active())
+        trace::counters().budget_aborts.fetch_add(1, std::memory_order_relaxed);
+      if (runtime::classify_failure(e) ==
+          runtime::FailureClass::kDeterministic) {
+        return c;
+      }
+    } catch (...) {
+      c.error = "unknown error";
+    }
+    if (c.attempts >= max_attempts) return c;
+    // Wall-clock pause before the next attempt (never charged to SearchCost:
+    // the virtual clock does not advance while we sleep). Constructed lazily
+    // — the success path never touches it — and seeded per (scenario,
+    // injection time) so concurrent branches desynchronize deterministically.
+    if (!backoff) {
+      backoff.emplace(sc_.fault.retry_backoff,
+                      Rng(sc_.testbed.seed ^ static_cast<std::uint64_t>(at)));
+    }
+    backoff->sleep();
   }
 }
 
-BranchExecutor::BranchOutcome BranchExecutor::execute_branch(
-    const runtime::DecodedSnapshot& snap, const InjectionPoint& ip,
-    const proxy::MaliciousAction* action, int windows) const {
+Contained<const runtime::DecodedSnapshot*> BranchExecutor::try_decoded(
+    const InjectionPoint& ip) {
+  if (ip.snapshot == nullptr) {
+    Contained<const runtime::DecodedSnapshot*> cold;
+    cold.value.emplace(nullptr);
+    return cold;
+  }
+  return contain(ip.time, [&] { return &decoded(ip); });
+}
+
+ScenarioWorld BranchExecutor::enter(
+    const runtime::DecodedSnapshot* snap,
+    const proxy::MaliciousAction* action) const {
   ScenarioWorld w = make_scenario_world(sc_);
   w.testbed->emulator().set_event_budget(sc_.fault.max_branch_events);
-  w.testbed->load_snapshot(snap);
+  if (snap != nullptr) w.testbed->load_snapshot(*snap);
   if (action != nullptr) w.proxy->arm(*action);
+  if (snap == nullptr) w.testbed->start();
+  return w;
+}
 
+BranchExecutor::BranchOutcome BranchExecutor::execute_branch(
+    const runtime::DecodedSnapshot* snap, const InjectionPoint& ip,
+    const proxy::MaliciousAction* action, int windows) const {
+  ScenarioWorld w = enter(snap, action);
+  // A loaded world carries the snapshot's crashes; a cold world's crashes
+  // all happened inside the branch, start() included.
   const std::uint32_t crashed_before =
-      static_cast<std::uint32_t>(w.testbed->crashed_nodes().size());
+      snap != nullptr
+          ? static_cast<std::uint32_t>(w.testbed->crashed_nodes().size())
+          : 0;
   w.testbed->run_until(ip.time + windows * sc_.window);
 
   BranchOutcome out;
@@ -385,9 +486,8 @@ BranchExecutor::BranchOutcome BranchExecutor::execute_branch(
 }
 
 BranchExecutor::BranchResult BranchExecutor::attempt_branch(
-    const runtime::DecodedSnapshot& snap, const InjectionPoint& ip,
+    const runtime::DecodedSnapshot* snap, const InjectionPoint& ip,
     const proxy::MaliciousAction* action, int windows) const {
-  BranchResult r;
   // The per-branch span: stamped with the branch's virtual extent (injection
   // time, windows * window), so its content — and therefore the sorted trace
   // — is identical whether the branch ran inline or on a pool worker.
@@ -400,67 +500,45 @@ BranchExecutor::BranchResult BranchExecutor::attempt_branch(
              action != nullptr ? action->describe() : std::string("baseline"))
         .arg("windows", static_cast<std::int64_t>(windows));
   }
-  const int max_attempts = 1 + std::max(0, sc_.fault.max_retries);
-  std::optional<Backoff> backoff;
-  for (int attempt = 1;; ++attempt) {
-    r.attempts = static_cast<std::uint32_t>(attempt);
-    try {
-      fault::inject(fault::kBranchExec);
-      r.outcome = execute_branch(snap, ip, action, windows);
-      r.error.clear();
-      span.arg("attempts", static_cast<std::uint64_t>(r.attempts))
-          .arg("outcome", "ok");
-      return r;
-    } catch (const netem::BudgetExceededError& e) {
-      // A runaway branch is deterministic: retrying replays the runaway.
-      // Quarantine on the first hit and give the worker back to the pool.
-      r.error = e.what();
-      if (trace::active())
-        trace::counters().budget_aborts.fetch_add(1, std::memory_order_relaxed);
-      span.arg("attempts", static_cast<std::uint64_t>(r.attempts))
-          .arg("outcome", "budget");
-      return r;
-    } catch (const std::exception& e) {
-      r.error = e.what();
-    } catch (...) {
-      r.error = "unknown error";
-    }
-    if (attempt >= max_attempts) {
-      span.arg("attempts", static_cast<std::uint64_t>(r.attempts))
-          .arg("outcome", "quarantined");
-      return r;
-    }
-    // Wall-clock pause before the next attempt (never charged to SearchCost:
-    // the virtual clock does not advance while we sleep). Constructed lazily
-    // — the success path never touches it — and seeded per (scenario,
-    // injection time) so concurrent branches desynchronize deterministically.
-    if (!backoff) {
-      backoff.emplace(sc_.fault.retry_backoff,
-                      Rng(sc_.testbed.seed ^
-                          static_cast<std::uint64_t>(ip.time)));
-    }
-    backoff->sleep();
-  }
+  Contained<BranchOutcome> c = contain(ip.time, [&] {
+    fault::inject(fault::kBranchExec);
+    return execute_branch(snap, ip, action, windows);
+  });
+  span.arg("attempts", static_cast<std::uint64_t>(c.attempts))
+      .arg("outcome", c.value     ? "ok"
+                      : c.runaway ? "budget"
+                                  : "quarantined");
+  BranchResult r;
+  r.outcome = std::move(c.value);
+  r.attempts = c.attempts;
+  r.error = std::move(c.error);
+  return r;
 }
 
-void BranchExecutor::charge_attempts(std::uint32_t attempts, int windows) {
+Duration BranchExecutor::charge(const InjectionPoint& ip,
+                                std::uint32_t attempts, int windows) {
+  const bool cold = ip.snapshot == nullptr;
+  const Duration run =
+      (cold ? ip.time : 0) + static_cast<Duration>(windows) * sc_.window;
+  const std::uint32_t loads = cold ? 0 : attempts;
   cost_.branches += attempts;
-  cost_.loads += attempts;
+  cost_.loads += loads;
   cost_.retries += attempts - 1;
-  cost_.snapshots += static_cast<Duration>(attempts) * sc_.branch_cost.load_cost;
-  cost_.execution += static_cast<Duration>(attempts) * windows * sc_.window;
+  cost_.snapshots += static_cast<Duration>(loads) * sc_.branch_cost.load_cost;
+  cost_.execution += static_cast<Duration>(attempts) * run;
   if (trace::active()) {
     // Mirrored at the exact cost-charging site so telemetry totals provably
     // equal SearchCost (asserted under faults by test_fault_tolerance).
     trace::Counters& c = trace::counters();
     c.branch_attempts.fetch_add(attempts, std::memory_order_relaxed);
     c.branch_retries.fetch_add(attempts - 1, std::memory_order_relaxed);
-    c.snapshot_loads.fetch_add(attempts, std::memory_order_relaxed);
-    const std::uint64_t exec =
-        static_cast<std::uint64_t>(attempts) * windows * sc_.window;
+    c.snapshot_loads.fetch_add(loads, std::memory_order_relaxed);
     (windows == 1 ? c.evaluate_ns : c.classify_ns)
-        .fetch_add(exec, std::memory_order_relaxed);
+        .fetch_add(static_cast<std::uint64_t>(attempts) * run,
+                   std::memory_order_relaxed);
   }
+  return static_cast<Duration>(attempts) * run +
+         static_cast<Duration>(loads) * sc_.branch_cost.load_cost;
 }
 
 void BranchExecutor::record_failure(const InjectionPoint& ip,
@@ -493,6 +571,10 @@ void BranchExecutor::record_failure(const InjectionPoint& ip,
 std::string BranchExecutor::branch_key(const InjectionPoint& ip,
                                        const proxy::MaliciousAction* action,
                                        int windows) {
+  if (ip.snapshot == nullptr) {
+    return "bf|" + std::to_string(ip.tag) + "|" +
+           (action != nullptr ? action->describe() : "base");
+  }
   return "b|" + std::to_string(ip.tag) + "|" + std::to_string(ip.time) + "|" +
          std::to_string(windows) + "|" +
          (action != nullptr ? action->describe() : "-");
@@ -503,13 +585,12 @@ BranchExecutor::BranchResult BranchExecutor::execute_unit(
     int windows) {
   TURRET_CHECK(windows >= 1);
   // No cost charging, journaling, or failure recording here: the coordinator
-  // merges this result through run_branches' bookkeeping loop, so the charge
-  // site is the same one a local branch uses. A decode failure produces the
-  // same quarantine record the local path would share across the batch.
-  BranchResult decode_failure;
-  const runtime::DecodedSnapshot* snap = try_decoded(ip, &decode_failure);
-  if (snap == nullptr) return decode_failure;
-  return attempt_branch(*snap, ip, action, windows);
+  // merges this result through run_branches' merge stage, so the charge site
+  // is the same one a local branch uses. A decode failure produces the same
+  // quarantine record the local path would share across the batch.
+  const Contained<const runtime::DecodedSnapshot*> snap = try_decoded(ip);
+  if (!snap.value) return quarantine(snap);
+  return attempt_branch(*snap.value, ip, action, windows);
 }
 
 std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
@@ -521,247 +602,100 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
   // a clean prefix and --resume reproduces the uninterrupted result.
   if (cancel_requested()) throw CancelledError();
   std::vector<BranchResult> out(actions.size());
+  const auto key = [&](std::size_t i) {
+    return branch_key(ip, actions[i], windows);
+  };
 
-  // Resume: consume journaled results first (in input order, which matches
-  // the order the interrupted run appended them). Only the misses execute.
+  // Journal replay: consume journaled results first (in input order, which
+  // matches the order the interrupted run appended them). Only the misses
+  // go on down the pipeline.
   std::vector<bool> replayed(actions.size(), false);
   std::vector<std::size_t> live;
   live.reserve(actions.size());
   for (std::size_t i = 0; i < actions.size(); ++i) {
-    if (journal_ != nullptr) {
-      if (auto rec = journal_->replay(branch_key(ip, actions[i], windows))) {
-        out[i] = decode_branch_result(*rec);
-        replayed[i] = true;
-        // A replayed canonical record carries its fingerprint: re-seed the
-        // prune table so branches the interrupted run never reached make the
-        // same prune decisions the uninterrupted run would have.
-        if (sc_.prune.enabled && out[i].fingerprint) {
-          seed_prune_entry(branch_key(ip, actions[i], windows), out[i]);
-        }
-        if (trace::active()) {
-          trace::counters().journal_replays.fetch_add(
-              1, std::memory_order_relaxed);
-          trace::instant(
-              "search", "journal-replay", ip.time,
-              trace::Args()
-                  .add("key", branch_key(ip, actions[i], windows))
-                  .take());
-        }
-        continue;
-      }
-    }
-    live.push_back(i);
-  }
-
-  if (!live.empty()) {
-    BranchResult decode_failure;
-    const runtime::DecodedSnapshot* snap = try_decoded(ip, &decode_failure);
-    if (snap == nullptr) {
-      // The injection point's snapshot is unusable: every pending branch
-      // inherits the decode failure as its quarantine record.
-      for (const std::size_t i : live) out[i] = decode_failure;
-    } else if (sc_.prune.enabled) {
-      run_pruned(*snap, ip, actions, windows, live, out);
-    } else {
-      // Remote dispatch: ship the live branches to the distributed backend
-      // when one is attached and reachable. Whatever it could not place
-      // (no workers, every worker died mid-batch) stays in `pending` and
-      // degrades to the local paths below — results are byte-identical
-      // either way, because workers run the same attempt_branch against the
-      // same decoded snapshot and the merge below is input-order regardless.
-      // Provenance harvesting is in-process-only, so it forces local.
-      std::vector<std::size_t> pending = live;
-      if (remote_ != nullptr && provenance_ == nullptr &&
-          remote_->available()) {
-        const auto remote_out =
-            remote_->run_remote(ip, actions, live, windows, *snap);
-        TURRET_CHECK_MSG(remote_out.size() == live.size(),
-                         "remote backend returned a mismatched batch");
-        pending.clear();
-        for (std::size_t k = 0; k < live.size(); ++k) {
-          if (remote_out[k].has_value()) {
-            out[live[k]] = *remote_out[k];
-          } else {
-            pending.push_back(live[k]);
-          }
-        }
-      }
-      if (remote_ != nullptr && !pending.empty() && trace::active()) {
-        trace::counters().dist_local_fallbacks.fetch_add(
-            pending.size(), std::memory_order_relaxed);
-      }
-      if (pending.size() <= 1 || default_jobs() <= 1) {
-        for (const std::size_t i : pending) {
-          out[i] = attempt_branch(*snap, ip, actions[i], windows);
-        }
-      } else {
-      ThreadPool& workers = pool();
-      std::vector<std::future<BranchResult>> futures;
-      futures.reserve(pending.size());
-      for (const std::size_t i : pending) {
-        const proxy::MaliciousAction* action = actions[i];
-        futures.push_back(workers.submit([this, snap, &ip, action, windows] {
-          return attempt_branch(*snap, ip, action, windows);
-        }));
-      }
-      // Merge in input order. attempt_branch contains everything a branch
-      // can throw, so the futures only fail on harness-level errors — drain
-      // every one (the tasks reference run_branches locals) and aggregate
-      // instead of dropping all errors after the first.
-      std::vector<std::string> errors;
-      for (std::size_t k = 0; k < futures.size(); ++k) {
-        try {
-          out[pending[k]] = futures[k].get();
-        } catch (const std::exception& e) {
-          errors.push_back(e.what());
-        } catch (...) {
-          errors.push_back("unknown error");
-        }
-      }
-      if (!errors.empty()) throw AggregateBranchError(errors);
-      }
-    }
-  }
-
-  // Deterministic bookkeeping in input order: per-branch charges are
-  // run_branch's multiplied over attempts (replayed entries charge the
-  // attempts they recorded), quarantines are recorded, and fresh results are
-  // journaled. Integer sums are order-independent, so serial and parallel
-  // runs account the same cost.
-  for (std::size_t i = 0; i < actions.size(); ++i) {
-    charge_attempts(out[i].attempts, windows);
-    if (!out[i].ok()) record_failure(ip, actions[i], out[i]);
-    if (provenance_ != nullptr && out[i].ok() &&
-        out[i].outcome->provenance != nullptr) {
-      provenance_->add(out[i].outcome->provenance);
-    }
-    // A pruned branch harvested nothing; its equivalent-to link makes the
-    // canonical branch's provenance answer for it in reports.
-    if (provenance_ != nullptr && out[i].pruned &&
-        !out[i].equivalent_to.empty()) {
-      provenance_->add_alias(branch_key(ip, actions[i], windows),
-                             out[i].equivalent_to);
-    }
-    if (journal_ != nullptr && !replayed[i]) {
-      journal_->append(branch_key(ip, actions[i], windows),
-                       encode_branch_result(out[i]));
-    }
-  }
-  return out;
-}
-
-void BranchExecutor::run_pruned(
-    const runtime::DecodedSnapshot& snap, const InjectionPoint& ip,
-    const std::vector<const proxy::MaliciousAction*>& actions, int windows,
-    const std::vector<std::size_t>& live, std::vector<BranchResult>& out) {
-  // Phase 1: settle + fingerprint every live branch. Each settle world is
-  // torn down right after fingerprinting, so memory stays bounded by the
-  // worker count, not the batch size.
-  std::vector<std::optional<Digest128>> digests(actions.size());
-  if (live.size() <= 1 || default_jobs() <= 1) {
-    for (const std::size_t i : live) {
-      digests[i] = fingerprint_branch(snap, ip, actions[i], windows);
-    }
-  } else {
-    ThreadPool& workers = pool();
-    std::vector<std::future<std::optional<Digest128>>> futures;
-    futures.reserve(live.size());
-    for (const std::size_t i : live) {
-      const proxy::MaliciousAction* action = actions[i];
-      futures.push_back(workers.submit([this, &snap, &ip, action, windows] {
-        return fingerprint_branch(snap, ip, action, windows);
-      }));
-    }
-    std::vector<std::string> errors;
-    for (std::size_t k = 0; k < futures.size(); ++k) {
-      try {
-        digests[live[k]] = futures[k].get();
-      } catch (const std::exception& e) {
-        errors.push_back(e.what());
-      } catch (...) {
-        errors.push_back("unknown error");
-      }
-    }
-    if (!errors.empty()) throw AggregateBranchError(errors);
-  }
-
-  // Phase 2: first-writer-wins claims, serially in INPUT order — this, not
-  // the mutex, is what makes the canonical/follower split (and therefore the
-  // whole result) identical at any --jobs. A branch whose settle run failed
-  // (no digest) just executes live.
-  struct Follower {
-    std::size_t index;
-    Digest128 digest;
-  };
-  std::vector<std::size_t> canonical;
-  std::vector<Follower> followers;
-  canonical.reserve(live.size());
-  for (const std::size_t i : live) {
-    if (!digests[i]) {
-      canonical.push_back(i);
+    std::optional<Bytes> rec;
+    if (journal_ != nullptr) rec = journal_->replay(key(i));
+    if (!rec) {
+      live.push_back(i);
       continue;
     }
-    if (claim_prune_entry(*digests[i], branch_key(ip, actions[i], windows))) {
-      canonical.push_back(i);
-    } else {
-      followers.push_back({i, *digests[i]});
+    out[i] = decode_branch_result(*rec);
+    replayed[i] = true;
+    // A replayed canonical record carries its fingerprint: re-seed the prune
+    // table so branches the interrupted run never reached make the same
+    // prune decisions the uninterrupted run would have.
+    if (sc_.prune.enabled && out[i].fingerprint) {
+      prune_table_.try_emplace(*out[i].fingerprint,
+                               PruneEntry{key(i), without_provenance(out[i])});
+    }
+    if (trace::active()) {
+      trace::counters().journal_replays.fetch_add(1,
+                                                  std::memory_order_relaxed);
+      trace::instant("search", "journal-replay", ip.time,
+                     trace::Args().add("key", key(i)).take());
     }
   }
 
-  // Phase 3: execute canonical branches (the only guest execution past the
-  // settle horizon) and complete their table entries.
-  if (canonical.size() <= 1 || default_jobs() <= 1) {
-    for (const std::size_t i : canonical) {
-      out[i] = attempt_branch(snap, ip, actions[i], windows);
+  // Snapshot decode (points with a snapshot only). An unusable snapshot
+  // quarantines every pending branch with the decode failure.
+  const runtime::DecodedSnapshot* snap = nullptr;
+  if (!live.empty()) {
+    const Contained<const runtime::DecodedSnapshot*> d = try_decoded(ip);
+    if (d.value) {
+      snap = *d.value;
+    } else {
+      for (const std::size_t i : live) out[i] = quarantine(d);
+      live.clear();
+    }
+  }
+
+  // Prune claims (DESIGN.md §5f): settle and fingerprint every pending
+  // branch, then claim the table serially in INPUT order — this, not the
+  // fan-out, is what makes the canonical/follower split identical at any
+  // --jobs. The first branch to present a digest is canonical and executes;
+  // later ones follow it. A branch whose settle run failed just executes.
+  std::vector<std::optional<Digest128>> digests(actions.size());
+  std::vector<std::size_t> run;
+  std::vector<std::size_t> followers;
+  if (sc_.prune.enabled && !live.empty()) {
+    const std::vector<std::optional<Digest128>> fps =
+        fan_out(pool_, live.size(), [&](std::size_t k) {
+          return fingerprint_branch(snap, ip, actions[live[k]], windows);
+        });
+    for (std::size_t k = 0; k < live.size(); ++k) {
+      const std::size_t i = live[k];
+      digests[i] = fps[k];
+      const bool canonical =
+          !digests[i] ||
+          prune_table_.try_emplace(*digests[i], PruneEntry{key(i), {}}).second;
+      (canonical ? run : followers).push_back(i);
+    }
+    if (trace::active()) {
+      trace::counters().prune_table_entries.store(prune_table_.size(),
+                                                  std::memory_order_relaxed);
     }
   } else {
-    ThreadPool& workers = pool();
-    std::vector<std::future<BranchResult>> futures;
-    futures.reserve(canonical.size());
-    for (const std::size_t i : canonical) {
-      const proxy::MaliciousAction* action = actions[i];
-      futures.push_back(workers.submit([this, &snap, &ip, action, windows] {
-        return attempt_branch(snap, ip, action, windows);
-      }));
-    }
-    std::vector<std::string> errors;
-    for (std::size_t k = 0; k < futures.size(); ++k) {
-      try {
-        out[canonical[k]] = futures[k].get();
-      } catch (const std::exception& e) {
-        errors.push_back(e.what());
-      } catch (...) {
-        errors.push_back("unknown error");
-      }
-    }
-    if (!errors.empty()) throw AggregateBranchError(errors);
+    run = live;
   }
-  for (const std::size_t i : canonical) {
-    if (digests[i]) {
-      out[i].fingerprint = *digests[i];
-      record_prune_result(*digests[i], out[i]);
-    }
+
+  dispatch(snap, ip, actions, run, windows, out);
+  for (const std::size_t i : run) {
+    if (!digests[i]) continue;
+    out[i].fingerprint = digests[i];
+    prune_table_.at(*digests[i]).result = without_provenance(out[i]);
   }
 
   // Followers inherit the canonical outcome. The inherited attempts/error
   // equal what the follower's own execution would have produced (the states
-  // are equivalent and the platform deterministic), so SearchCost charges —
-  // applied by the caller from these fields — match the prune-off run.
-  for (const Follower& f : followers) {
-    const PruneEntry* e = find_prune_entry(f.digest);
-    TURRET_CHECK_MSG(e != nullptr, "follower without a completed prune entry");
-    BranchResult r;
-    r.attempts = e->result.attempts;
-    r.error = e->result.error;
-    if (e->result.outcome) {
-      BranchOutcome o;
-      o.windows = e->result.outcome->windows;
-      o.new_crashes = e->result.outcome->new_crashes;
-      r.outcome = std::move(o);
-    }
-    r.pruned = true;
-    r.equivalent_to = e->canonical_key;
-    out[f.index] = std::move(r);
+  // are equivalent and the platform deterministic), so the merge charges
+  // exactly what the prune-off run charges.
+  for (const std::size_t i : followers) {
+    const PruneEntry& e = prune_table_.at(*digests[i]);
+    TURRET_CHECK_MSG(e.result.has_value(),
+                     "follower without a completed prune entry");
+    out[i] = *e.result;
+    out[i].pruned = true;
+    out[i].equivalent_to = e.canonical_key;
     if (trace::active()) {
       trace::Counters& c = trace::counters();
       c.branches_pruned.fetch_add(1, std::memory_order_relaxed);
@@ -771,47 +705,107 @@ void BranchExecutor::run_pruned(
         c.prune_skipped_ns.fetch_add(static_cast<std::uint64_t>(skipped),
                                      std::memory_order_relaxed);
       }
-      trace::instant(
-          "search", "prune", ip.time,
-          trace::Args()
-              .add("message", ip.message_name)
-              .add("action", actions[f.index] != nullptr
-                                 ? actions[f.index]->describe()
-                                 : std::string("baseline"))
-              .add("equivalent_to", out[f.index].equivalent_to)
-              .take());
+      trace::instant("search", "prune", ip.time,
+                     trace::Args()
+                         .add("message", ip.message_name)
+                         .add("action", actions[i] != nullptr
+                                            ? actions[i]->describe()
+                                            : std::string("baseline"))
+                         .add("equivalent_to", e.canonical_key)
+                         .take());
     }
   }
-  if (trace::active()) {
-    std::lock_guard<std::mutex> lock(prune_mutex_);
-    trace::counters().prune_table_entries.store(prune_table_.size(),
-                                                std::memory_order_relaxed);
+
+  // Merge, in input order: charge (replayed entries charge the attempts they
+  // recorded), record quarantines, add provenance, journal fresh results.
+  // Integer sums are order-independent, so serial and parallel runs account
+  // the same cost.
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    out[i].charged = charge(ip, out[i].attempts, windows);
+    if (!out[i].ok()) record_failure(ip, actions[i], out[i]);
+    if (provenance_ != nullptr) {
+      if (out[i].ok() && out[i].outcome->provenance != nullptr)
+        provenance_->add(out[i].outcome->provenance);
+      // A pruned branch harvested nothing; its equivalent-to link makes the
+      // canonical branch's provenance answer for it in reports. A branch
+      // that follows its own earlier run (greedy re-evaluates a point on
+      // every repetition) already has that harvest under its key.
+      if (out[i].pruned && out[i].equivalent_to != key(i))
+        provenance_->add_alias(key(i), out[i].equivalent_to);
+    }
+    if (journal_ != nullptr && !replayed[i])
+      journal_->append(key(i), encode_branch_result(out[i]));
   }
+  return out;
+}
+
+void BranchExecutor::dispatch(
+    const runtime::DecodedSnapshot* snap, const InjectionPoint& ip,
+    const std::vector<const proxy::MaliciousAction*>& actions,
+    const std::vector<std::size_t>& run, int windows,
+    std::vector<BranchResult>& out) {
+  // Whatever the remote backend could not place (no workers, every worker
+  // died mid-batch) runs locally. Results are byte-identical either way:
+  // workers run the same attempt_branch against the same decoded snapshot.
+  std::vector<std::size_t> local;
+  if (remote_ != nullptr && provenance_ == nullptr && snap != nullptr &&
+      !run.empty() && remote_->available()) {
+    const auto remote_out =
+        remote_->run_remote(ip, actions, run, windows, *snap);
+    TURRET_CHECK_MSG(remote_out.size() == run.size(),
+                     "remote backend returned a mismatched batch");
+    for (std::size_t k = 0; k < run.size(); ++k) {
+      if (remote_out[k].has_value()) {
+        out[run[k]] = *remote_out[k];
+      } else {
+        local.push_back(run[k]);
+      }
+    }
+  } else {
+    local = run;
+  }
+  if (remote_ != nullptr && !local.empty() && trace::active()) {
+    trace::counters().dist_local_fallbacks.fetch_add(
+        local.size(), std::memory_order_relaxed);
+  }
+  std::vector<BranchResult> results =
+      fan_out(pool_, local.size(), [&](std::size_t k) {
+        return attempt_branch(snap, ip, actions[local[k]], windows);
+      });
+  for (std::size_t k = 0; k < local.size(); ++k)
+    out[local[k]] = std::move(results[k]);
 }
 
 std::optional<Digest128> BranchExecutor::fingerprint_branch(
-    const runtime::DecodedSnapshot& snap, const InjectionPoint& ip,
+    const runtime::DecodedSnapshot* snap, const InjectionPoint& ip,
     const proxy::MaliciousAction* action, int windows) const {
   try {
-    ScenarioWorld w = make_scenario_world(sc_);
-    w.testbed->emulator().set_event_budget(sc_.fault.max_branch_events);
-    w.testbed->load_snapshot(snap);
-    if (action != nullptr) w.proxy->arm(*action);
+    ScenarioWorld w = enter(snap, action);
     const Time t_s = ip.time + sc_.prune.settle;
     const Time horizon = ip.time + static_cast<Duration>(windows) * sc_.window;
     w.testbed->run_until(t_s);
 
     Hasher128 h;
-    h.update("turret-prune-v1");
-    h.update_i64(windows);
+    if (snap != nullptr) {
+      h.update("turret-prune-v1");
+      h.update_i64(windows);
+    } else {
+      // A cold point folds its injection time. Two-window branches keep the
+      // domain brute force's runs had before it ran on the executor, so its
+      // older journals re-seed the same table.
+      h.update(windows == 2 ? "turret-prune-bf1" : "turret-prune-cold");
+      h.update_i64(ip.time);
+      if (windows != 2) h.update_i64(windows);
+    }
     h.update_i64(sc_.window);
     h.update_digest(w.testbed->fleet_fingerprint(ip.time, horizon));
     w.proxy->residual_fingerprint(h, horizon - t_s);
     if (trace::active()) {
       trace::Counters& c = trace::counters();
       c.fingerprints.fetch_add(1, std::memory_order_relaxed);
+      // The settle run's length: a cold point settles from t = 0.
       c.prune_settle_ns.fetch_add(
-          static_cast<std::uint64_t>(sc_.prune.settle),
+          static_cast<std::uint64_t>(snap != nullptr ? sc_.prune.settle : t_s),
           std::memory_order_relaxed);
     }
     return h.digest();
@@ -820,60 +814,6 @@ std::optional<Digest128> BranchExecutor::fingerprint_branch(
     // (and quarantines there if the failure persists).
     return std::nullopt;
   }
-}
-
-bool BranchExecutor::claim_prune_entry(const Digest128& digest,
-                                       const std::string& key) {
-  std::lock_guard<std::mutex> lock(prune_mutex_);
-  auto [it, inserted] = prune_table_.try_emplace(digest);
-  if (inserted) it->second.canonical_key = key;
-  return inserted;
-}
-
-void BranchExecutor::record_prune_result(const Digest128& digest,
-                                         const BranchResult& r) {
-  std::lock_guard<std::mutex> lock(prune_mutex_);
-  auto it = prune_table_.find(digest);
-  if (it == prune_table_.end() || it->second.completed) return;
-  PruneEntry& e = it->second;
-  if (r.outcome) {
-    BranchOutcome o;  // provenance deliberately not retained in the table
-    o.windows = r.outcome->windows;
-    o.new_crashes = r.outcome->new_crashes;
-    e.result.outcome = std::move(o);
-  }
-  e.result.attempts = r.attempts;
-  e.result.error = r.error;
-  e.completed = true;
-}
-
-const BranchExecutor::PruneEntry* BranchExecutor::find_prune_entry(
-    const Digest128& digest) {
-  std::lock_guard<std::mutex> lock(prune_mutex_);
-  auto it = prune_table_.find(digest);
-  if (it == prune_table_.end() || !it->second.completed) return nullptr;
-  // std::map nodes are address-stable across inserts; claims and lookups all
-  // happen on the merge path, so the entry outlives the caller's use.
-  return &it->second;
-}
-
-void BranchExecutor::seed_prune_entry(const std::string& key,
-                                      const BranchResult& r) {
-  TURRET_CHECK(r.fingerprint.has_value());
-  std::lock_guard<std::mutex> lock(prune_mutex_);
-  auto [it, inserted] = prune_table_.try_emplace(*r.fingerprint);
-  if (!inserted) return;
-  PruneEntry& e = it->second;
-  e.canonical_key = key;
-  if (r.outcome) {
-    BranchOutcome o;
-    o.windows = r.outcome->windows;
-    o.new_crashes = r.outcome->new_crashes;
-    e.result.outcome = std::move(o);
-  }
-  e.result.attempts = r.attempts;
-  e.result.error = r.error;
-  e.completed = true;
 }
 
 void BranchExecutor::evict_unreferenced_pages() {
@@ -934,49 +874,31 @@ std::optional<BranchExecutor::InjectionPoint>
 BranchExecutor::try_continue_branch(const InjectionPoint& ip,
                                     const proxy::MaliciousAction* action,
                                     Duration dur) {
-  BranchResult failure;
-  const runtime::DecodedSnapshot* snap = try_decoded(ip, &failure);
-  const int max_attempts = 1 + std::max(0, sc_.fault.max_retries);
-  std::optional<InjectionPoint> next;
-  std::uint32_t attempts = failure.attempts;
-
-  if (snap != nullptr) {
-    for (int attempt = 1;; ++attempt) {
-      attempts = static_cast<std::uint32_t>(attempt);
-      try {
-        ScenarioWorld w = make_scenario_world(sc_);
-        w.testbed->emulator().set_event_budget(sc_.fault.max_branch_events);
-        w.testbed->load_snapshot(*snap);
-        if (action != nullptr) w.proxy->arm(*action);
-        w.testbed->run_until(ip.time + dur);
-        w.proxy->disarm();
-
-        InjectionPoint n;
-        n.tag = ip.tag;
-        n.message_name = ip.message_name;
-        n.time = w.testbed->now();
-        n.snapshot = std::make_shared<const Bytes>(w.testbed->save_snapshot());
-        n.pages = w.testbed->last_save_pages();
-        next = std::move(n);
-        break;
-      } catch (const netem::BudgetExceededError& e) {
-        failure.error = e.what();
-        if (trace::active())
-          trace::counters().budget_aborts.fetch_add(1,
-                                                    std::memory_order_relaxed);
-        break;  // deterministic runaway: no point retrying
-      } catch (const std::exception& e) {
-        failure.error = e.what();
-      } catch (...) {
-        failure.error = "unknown error";
-      }
-      if (attempt >= max_attempts) break;
-    }
+  TURRET_CHECK_MSG(ip.snapshot != nullptr, "a continuation needs a snapshot");
+  const Contained<const runtime::DecodedSnapshot*> snap = try_decoded(ip);
+  Contained<InjectionPoint> next;
+  if (snap.value) {
+    next = contain(ip.time, [&] {
+      ScenarioWorld w = enter(*snap.value, action);
+      w.testbed->run_until(ip.time + dur);
+      w.proxy->disarm();
+      InjectionPoint n;
+      n.tag = ip.tag;
+      n.message_name = ip.message_name;
+      n.time = w.testbed->now();
+      n.snapshot = std::make_shared<const Bytes>(w.testbed->save_snapshot());
+      n.pages = w.testbed->last_save_pages();
+      return n;
+    });
+  } else {
+    next.attempts = snap.attempts;  // quarantined with the decode failure
+    next.error = snap.error;
   }
 
   // Charged per attempt, mirroring the serial charges of a successful
   // continuation so resume replays (which re-execute continuations live)
   // account identically.
+  const std::uint32_t attempts = next.attempts;
   cost_.loads += attempts;
   cost_.saves += attempts;
   cost_.retries += attempts - 1;
@@ -997,29 +919,17 @@ BranchExecutor::try_continue_branch(const InjectionPoint& ip,
         .arg("action",
              action != nullptr ? action->describe() : std::string("baseline"))
         .arg("attempts", static_cast<std::uint64_t>(attempts))
-        .arg("outcome", next ? "ok" : "quarantined");
+        .arg("outcome", next.value ? "ok" : "quarantined");
   }
 
-  if (!next) {
-    failure.attempts = attempts;
-    record_failure(ip, action, failure);
+  if (!next.value) {
+    record_failure(ip, action, quarantine(next));
     return std::nullopt;
   }
   // A continuation invalidates the cached baseline only for branches from the
   // *new* point; the cache is keyed by tag, so refresh lazily.
   baseline_cache_.erase(ip.tag);
-  return next;
-}
-
-BranchExecutor::InjectionPoint BranchExecutor::continue_branch(
-    const InjectionPoint& ip, const proxy::MaliciousAction* action,
-    Duration dur) {
-  std::optional<InjectionPoint> next = try_continue_branch(ip, action, dur);
-  if (!next) {
-    throw std::runtime_error("continuation quarantined: " +
-                             failed_.back().error);
-  }
-  return *std::move(next);
+  return std::move(next.value);
 }
 
 }  // namespace turret::search

@@ -9,7 +9,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -82,7 +81,8 @@ struct WindowPerf {
 /// Measure one observation window [t0, t1) of `tb` under `metric`: the damage
 /// value (rate / mean / quantile lower bound), the sample count, tamper
 /// totals, and — for value metrics — the percentile fields. Shared by
-/// BranchExecutor and brute force so every algorithm measures identically.
+/// BranchExecutor and brute force's benign pass so every algorithm measures
+/// identically.
 WindowPerf measure_window(const MetricSpec& metric, const runtime::Testbed& tb,
                           Time t0, Time t1);
 
@@ -101,8 +101,21 @@ struct ScenarioWorld {
 
 ScenarioWorld make_scenario_world(const Scenario& sc);
 
+/// What BranchExecutor's containment primitive returns: the attempt count
+/// plus either the attempt's value or the last error.
+template <typename T>
+struct Contained {
+  std::optional<T> value;
+  std::uint32_t attempts = 0;
+  std::string error;     ///< the last failure; empty on success
+  bool runaway = false;  ///< the last failure was an event-budget abort
+};
+
 class BranchExecutor {
  public:
+  /// Where branches start. A point with a snapshot is reached by loading it;
+  /// a *cold* point (null snapshot) is brute force's: every branch from it is
+  /// a fresh run from t = 0 with the action armed, measured from `time`.
   struct InjectionPoint {
     wire::TypeTag tag = 0;
     std::string message_name;
@@ -140,6 +153,9 @@ class BranchExecutor {
     /// journaled so a resumed search re-seeds the prune table and replays
     /// the original run's prune decisions exactly.
     std::optional<Digest128> fingerprint;
+    /// Virtual cost run_branches charged for this entry, every attempt
+    /// included (not journaled: it is recomputed on replay).
+    Duration charged = 0;
 
     bool ok() const { return outcome.has_value(); }
   };
@@ -159,24 +175,25 @@ class BranchExecutor {
   void set_provenance(ProvenanceStore* store) { provenance_ = store; }
 
   /// Attach a remote execution backend (nullptr detaches). While attached and
-  /// available(), run_branches dispatches live branches to it instead of the
-  /// local pool; entries the backend could not place (no workers reachable,
-  /// every worker died) degrade to local execution. Remote dispatch is
-  /// skipped while a provenance store is attached (provenance is harvested
-  /// in-process) and under prune mode (the prune table is process-local);
-  /// both fall back to the local pool with identical results.
+  /// available(), run_branches dispatches the branches that execute to it
+  /// instead of the local pool; entries the backend could not place (no
+  /// workers reachable, every worker died) degrade to local execution.
+  /// Remote dispatch is skipped while a provenance store is attached
+  /// (provenance is harvested in-process) and for cold points (no snapshot
+  /// to ship); both run on the local pool with identical results.
   void set_remote(RemoteBackend* remote) { remote_ = remote; }
 
-  /// One contained branch execution against an already-decoded snapshot,
-  /// *without* cost charging, journaling, or failure recording — the worker
-  /// side of the distributed runtime. The coordinator merges the returned
-  /// BranchResult through run_branches' normal bookkeeping, so a branch
-  /// executed remotely charges and records exactly like a local one.
+  /// One contained branch execution, *without* cost charging, journaling,
+  /// or failure recording — the worker side of the distributed runtime. The
+  /// coordinator merges the returned BranchResult through run_branches'
+  /// normal bookkeeping, so a branch executed remotely charges and records
+  /// exactly like a local one.
   BranchResult execute_unit(const InjectionPoint& ip,
                             const proxy::MaliciousAction* action, int windows);
 
   /// Identity of one (injection point, action, windows) branch — the key the
-  /// journal and the provenance store share.
+  /// journal and the provenance store share. A cold point keeps brute
+  /// force's "bf|<tag>|base" / "bf|<tag>|<action>" form.
   static std::string branch_key(const InjectionPoint& ip,
                                 const proxy::MaliciousAction* action,
                                 int windows);
@@ -206,12 +223,14 @@ class BranchExecutor {
                               int windows);
 
   /// Batch form of try_run_branch: one branch per entry of `actions`
-  /// (nullptr = baseline branch), fanned out across a worker pool of
-  /// default_jobs() threads. Results come back in input order and are
-  /// byte-identical to running the same branches serially, regardless of
-  /// worker count: each branch is an isolated ScenarioWorld restored from one
-  /// shared immutable decoded snapshot, retries happen inside the owning
-  /// worker, and cost accounting sums the same per-branch charges.
+  /// (nullptr = baseline branch), as one pipeline — journal replay →
+  /// snapshot decode → prune claims → one dispatch (remote backend, else
+  /// the local pool of default_jobs() threads) → follower inheritance →
+  /// merge. Results come back in input order and are byte-identical to
+  /// running the same branches serially, regardless of worker count: each
+  /// branch is an isolated ScenarioWorld restored from one shared immutable
+  /// decoded snapshot (or started cold), retries happen where the branch
+  /// runs, and the merge charges, records and journals in input order.
   std::vector<BranchResult> run_branches(
       const InjectionPoint& ip,
       const std::vector<const proxy::MaliciousAction*>& actions, int windows);
@@ -224,15 +243,10 @@ class BranchExecutor {
   /// (recorded in failed(); the injection point is unusable this search).
   std::optional<WindowPerf> try_baseline(const InjectionPoint& ip);
 
-  /// Advance from `ip` by `dur` (benign or under `action`) and snapshot,
-  /// yielding the next injection point for the same message type. Throws
-  /// after retry exhaustion.
-  InjectionPoint continue_branch(const InjectionPoint& ip,
-                                 const proxy::MaliciousAction* action,
-                                 Duration dur);
-
-  /// Contained form of continue_branch: nullopt after retry exhaustion (the
-  /// failure is recorded in failed()).
+  /// Advance from `ip` (which must have a snapshot) by `dur`, benign or under
+  /// `action`, and snapshot, yielding the next injection point for the same
+  /// message type. Contained: nullopt after retry exhaustion (the failure is
+  /// recorded in failed()).
   std::optional<InjectionPoint> try_continue_branch(
       const InjectionPoint& ip, const proxy::MaliciousAction* action,
       Duration dur);
@@ -257,66 +271,60 @@ class BranchExecutor {
  private:
   WindowPerf measure(const runtime::Testbed& tb, Time t0, Time t1) const;
 
-  /// One branch execution without cost accounting (the accounting is done by
-  /// the caller so batch and serial paths charge identically).
-  BranchOutcome execute_branch(const runtime::DecodedSnapshot& snap,
+  /// The containment primitive (DESIGN.md §5b) and the search layer's one
+  /// retry loop: runs `attempt` until it returns, retrying transient
+  /// failures up to sc.fault.max_retries times with wall-clock backoff
+  /// seeded by (scenario seed, `at`). A deterministic failure
+  /// (runtime::classify_failure) ends it on the first hit. Returns a
+  /// Contained of attempt's result type.
+  template <typename Fn>
+  auto contain(Time at, Fn&& attempt) const;
+
+  /// A fresh world for a branch: `snap` loaded and `action` armed, or — for
+  /// a cold point (`snap` null) — `action` armed and the fleet started at
+  /// t = 0, so the action transforms the point's message when the run
+  /// reaches it.
+  ScenarioWorld enter(const runtime::DecodedSnapshot* snap,
+                      const proxy::MaliciousAction* action) const;
+
+  /// One branch execution without cost accounting (the merge charges, so
+  /// live, replayed and remote branches account identically). `snap` is
+  /// null for a cold point.
+  BranchOutcome execute_branch(const runtime::DecodedSnapshot* snap,
                                const InjectionPoint& ip,
                                const proxy::MaliciousAction* action,
                                int windows) const;
 
-  /// Containment loop around execute_branch: retries per sc.fault, converts
-  /// every failure into a BranchResult. BudgetExceededError quarantines on
-  /// the first hit (a deterministic runaway only reproduces under retry).
-  BranchResult attempt_branch(const runtime::DecodedSnapshot& snap,
+  /// execute_branch under contain(), with its per-branch trace span.
+  BranchResult attempt_branch(const runtime::DecodedSnapshot* snap,
                               const InjectionPoint& ip,
                               const proxy::MaliciousAction* action,
                               int windows) const;
 
-  /// Per-branch cost charges, multiplied out over retry attempts so replayed
-  /// (journaled) and live branches account identically.
-  void charge_attempts(std::uint32_t attempts, int windows);
+  /// The branch cost model: charges `attempts` executions of a
+  /// `windows`-window branch from `ip` and returns the virtual cost charged.
+  /// Per attempt, a branch from a snapshot pays one load plus its windows; a
+  /// cold point has nothing to load and re-runs from t = 0 through its
+  /// windows.
+  Duration charge(const InjectionPoint& ip, std::uint32_t attempts,
+                  int windows);
 
-  /// The prune-enabled execution path of run_branches (DESIGN.md §5f), three
-  /// phases: (1) settle + fingerprint every live branch in parallel, (2)
-  /// claim the prune table serially in input order — the first branch to
-  /// present a digest becomes canonical, later ones become followers, so the
-  /// choice is identical at any --jobs — and (3) execute canonical branches
-  /// in parallel while followers inherit the canonical outcome without any
-  /// guest execution.
-  void run_pruned(const runtime::DecodedSnapshot& snap,
-                  const InjectionPoint& ip,
-                  const std::vector<const proxy::MaliciousAction*>& actions,
-                  int windows, const std::vector<std::size_t>& live,
-                  std::vector<BranchResult>& out);
+  /// The dispatch stage: executes the entries `run` (indices into `actions`)
+  /// into `out` — on the remote backend when set_remote's conditions hold,
+  /// and on the local fan-out for whatever the backend did not place.
+  void dispatch(const runtime::DecodedSnapshot* snap, const InjectionPoint& ip,
+                const std::vector<const proxy::MaliciousAction*>& actions,
+                const std::vector<std::size_t>& run, int windows,
+                std::vector<BranchResult>& out);
 
-  /// Prune key of one branch: load the snapshot, arm the action, run to
+  /// Prune key of one branch: enter the branch world, run to
   /// ip.time + prune.settle, and fold the fleet fingerprint with the proxy's
-  /// canonical residual and the (windows, window) observation context.
-  /// nullopt when the settle run itself fails (the branch then executes
-  /// live, deterministically). Thread-safe; touches no executor state except
-  /// counters.
+  /// canonical residual and the observation context. nullopt when the settle
+  /// run itself fails (the branch then executes live, deterministically).
+  /// Thread-safe; touches no executor state except counters.
   std::optional<Digest128> fingerprint_branch(
-      const runtime::DecodedSnapshot& snap, const InjectionPoint& ip,
+      const runtime::DecodedSnapshot* snap, const InjectionPoint& ip,
       const proxy::MaliciousAction* action, int windows) const;
-
-  /// First-writer-wins claim on `digest`. Returns true when this branch is
-  /// canonical (first to present the digest); false when an entry exists, in
-  /// which case `canonical_key`/`result` receive the canonical branch's
-  /// identity and (if already completed) result. Claims are made on the
-  /// single-threaded merge path in input order, which is what makes the
-  /// canonical choice deterministic at any --jobs; the table itself is
-  /// mutex-guarded so future callers may claim concurrently.
-  bool claim_prune_entry(const Digest128& digest, const std::string& key);
-
-  void record_prune_result(const Digest128& digest, const BranchResult& r);
-
-  struct PruneEntry;
-  /// Completed table entry for `digest`, or nullptr (no entry / pending).
-  const PruneEntry* find_prune_entry(const Digest128& digest);
-
-  /// Re-seed the prune table from a journal-replayed canonical record so a
-  /// resumed search reproduces the original run's prune decisions.
-  void seed_prune_entry(const std::string& key, const BranchResult& r);
 
   void record_failure(const InjectionPoint& ip,
                       const proxy::MaliciousAction* action,
@@ -326,13 +334,10 @@ class BranchExecutor {
   /// every branch from that injection point.
   const runtime::DecodedSnapshot& decoded(const InjectionPoint& ip);
 
-  /// Contained decode: retries per sc.fault; nullptr after exhaustion, with
-  /// `failure` describing the quarantine every pending branch inherits.
-  const runtime::DecodedSnapshot* try_decoded(const InjectionPoint& ip,
-                                              BranchResult* failure);
-
-  /// Worker pool sized to default_jobs(), rebuilt when the knob changes.
-  ThreadPool& pool();
+  /// decoded() under contain(). A cold point succeeds with a null snapshot
+  /// and no attempts: it has nothing to decode.
+  Contained<const runtime::DecodedSnapshot*> try_decoded(
+      const InjectionPoint& ip);
 
   const Scenario& sc_;
   std::optional<std::vector<InjectionPoint>> points_;
@@ -357,15 +362,17 @@ class BranchExecutor {
   std::size_t decoded_cache_entries_ = 0;
 
   /// Branch-equivalence prune table (DESIGN.md §5f): fingerprint → canonical
-  /// branch. `completed` stays false between the input-order claim and the
-  /// canonical branch's merge (the result is filled on the merge path).
+  /// branch. Claims, results and lookups all happen on run_branches' calling
+  /// thread in input order, which is what makes the canonical choice
+  /// identical at any --jobs.
   struct PruneEntry {
     std::string canonical_key;
-    BranchResult result;  ///< outcome without provenance
-    bool completed = false;
+    /// The canonical result without provenance; unset between the claim and
+    /// the canonical branch's execution.
+    std::optional<BranchResult> result;
   };
   std::map<Digest128, PruneEntry> prune_table_;
-  mutable std::mutex prune_mutex_;
+  /// Local fan-out pool, sized to default_jobs() and rebuilt when it changes.
   std::unique_ptr<ThreadPool> pool_;
   std::vector<FailedBranch> failed_;
   Journal* journal_ = nullptr;
@@ -398,8 +405,7 @@ class RemoteBackend {
       const runtime::DecodedSnapshot& snap) = 0;
 };
 
-/// Journal payload encoding for one BranchResult (also used by brute force,
-/// whose full runs are two windows + a crash count in the same shape).
+/// Journal payload encoding for one BranchResult (`charged` is not encoded).
 Bytes encode_branch_result(const BranchExecutor::BranchResult& r);
 BranchExecutor::BranchResult decode_branch_result(BytesView payload);
 

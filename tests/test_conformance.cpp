@@ -7,9 +7,11 @@
 // The suite is parameterized over the system registry: a guest that registers
 // there is conformance-tested automatically, with no edits here. Systems with
 // an authenticated wire layer are audited through the adapter (the MAC
-// trailer is stripped before decoding, exactly as the proxy does).
+// trailer is stripped before decoding, exactly as the proxy does). A short
+// weighted search per system guards the guest boundary.
 #include <gtest/gtest.h>
 
+#include "search/algorithms.h"
 #include "search/executor.h"
 #include "systems/registry.h"
 #include "wire/signed_adapter.h"
@@ -131,6 +133,28 @@ TEST_P(SystemConformance, BranchedExecutionMatchesOriginal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, SystemConformance,
+                         ::testing::ValuesIn(registered_names()),
+                         [](const auto& info) { return info.param; });
+
+// The guest boundary (common/check.h): whatever a guest does with hostile
+// input — crash, stall, reply to a lied node id — is a guest outcome. A
+// TURRET_CHECK in a quarantine record means a guest's reaction to a lie
+// tripped a platform invariant instead.
+class GuestBoundaryGuard : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GuestBoundaryGuard, NoActionTripsAPlatformInvariant) {
+  search::Scenario sc = scenario_for(GetParam());
+  sc.duration = 4 * kSecond;
+  sc.window = kSecond;
+  const search::SearchResult res = search::weighted_greedy_search(sc);
+  EXPECT_GT(res.cost.branches, 0u);
+  for (const search::FailedBranch& f : res.failed) {
+    EXPECT_EQ(f.error.find("TURRET_CHECK"), std::string::npos)
+        << f.describe() << ": " << f.error;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSystems, GuestBoundaryGuard,
                          ::testing::ValuesIn(registered_names()),
                          [](const auto& info) { return info.param; });
 

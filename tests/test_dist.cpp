@@ -343,6 +343,39 @@ TEST(DistInProcess, ThreadChaosStaysByteIdentical) {
       << "the died-mid-unit lease should have been reassigned";
 }
 
+// Prune claims stay on the coordinator; the canonical branches they leave
+// still ship to workers, and the result matches the prune-off in-process run.
+TEST(DistInProcess, PruneOnThreadWorkersMatchesPruneOffInProcess) {
+  const std::string ref = weighted_greedy_search(pbft_scenario()).to_json();
+  Scenario sc = pbft_scenario();
+  sc.prune.enabled = true;
+
+  trace::ScopedTrace t(trace::Clock::kVirtual);
+  const std::uint64_t sent_before =
+      trace::counters().dist_units_sent.load(std::memory_order_relaxed);
+  dist::Coordinator coord(sc, {});
+  dist::WorkerOptions wopt;
+  wopt.exit_process_on_fault = false;  // thread mode
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 2; ++w) {
+    workers.emplace_back([&, w] {
+      dist::WorkerOptions o = wopt;
+      o.seed = 200 + static_cast<std::uint64_t>(w);
+      dist::run_worker(sc, "127.0.0.1", coord.port(), o);
+    });
+  }
+  ASSERT_TRUE(coord.wait_for_workers(2, 15'000'000'000));
+  const SearchResult res =
+      weighted_greedy_search(sc, {}, nullptr, nullptr, nullptr, &coord);
+  coord.shutdown();
+  for (std::thread& w : workers) w.join();
+
+  EXPECT_EQ(res.to_json(), ref);
+  EXPECT_GT(trace::counters().dist_units_sent.load(std::memory_order_relaxed),
+            sent_before)
+      << "prune must not force local execution";
+}
+
 // ---------------------------------------------------------------------------
 // DistSearch: forked worker processes (the production shape).
 
@@ -384,6 +417,29 @@ TEST(DistSearch, CowPagesShipAcrossProcesses) {
   EXPECT_GT(trace::counters().dist_units_sent.load(std::memory_order_relaxed),
             sent_before)
       << "nothing was actually shipped; the parity check would be vacuous";
+}
+
+TEST(DistSearch, PruneOnForkedWorkersMatchesPruneOffInProcess) {
+  const std::string ref = weighted_greedy_search(pbft_scenario()).to_json();
+  Scenario sc = pbft_scenario();
+  sc.prune.enabled = true;
+
+  trace::ScopedTrace t(trace::Clock::kVirtual);
+  const std::uint64_t sent_before =
+      trace::counters().dist_units_sent.load(std::memory_order_relaxed);
+  dist::Coordinator coord(sc, {});
+  dist::WorkerOptions wopt;
+  wopt.seed = 7;
+  coord.spawn_workers(2, wopt);
+  ASSERT_TRUE(coord.wait_for_workers(2, 15'000'000'000));
+  const SearchResult res =
+      weighted_greedy_search(sc, {}, nullptr, nullptr, nullptr, &coord);
+  coord.shutdown();
+  EXPECT_EQ(res.to_json(), ref)
+      << "prune on with workers diverged from prune off in-process";
+  EXPECT_GT(trace::counters().dist_units_sent.load(std::memory_order_relaxed),
+            sent_before)
+      << "canonical branches never ran remotely";
 }
 
 // ---------------------------------------------------------------------------
@@ -540,6 +596,11 @@ std::string stats_json(const Scenario& sc, unsigned jobs, unsigned workers) {
     weighted_greedy_search(sc, {}, nullptr, nullptr, nullptr, &coord);
     coord.shutdown();
     out = search::capture_telemetry().to_json();
+    // Otherwise the comparison is vacuous: the branches must really have run
+    // on the workers, prune on or off.
+    EXPECT_GT(trace::counters().dist_units_sent.load(std::memory_order_relaxed),
+              0u)
+        << "no unit was shipped to a worker";
   }
   set_default_jobs(0);
   return out;

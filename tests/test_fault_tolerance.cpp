@@ -1,10 +1,13 @@
 // Fault-tolerant search runtime: deterministic fault injection, branch
-// retry/quarantine containment, runaway branch budgets, and the distinction
-// between platform faults (retried) and guest crashes (an attack outcome).
+// retry/quarantine containment and its failure classes, runaway branch
+// budgets, and the distinction between platform faults (retried) and guest
+// crashes (an attack outcome).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -83,6 +86,23 @@ struct BombServer final : vm::GuestNode {
   std::string_view kind() const override { return "bomb-server"; }
 };
 
+/// Server whose handler throws std::logic_error (what TURRET_CHECK throws) on
+/// a large count: a deterministic failure that every retry reproduces.
+struct InvariantServer final : vm::GuestNode {
+  void start(vm::GuestContext&) override {}
+  void on_message(vm::GuestContext& ctx, NodeId src, BytesView m) override {
+    wire::MessageReader r(m);
+    if (r.tag() != 1) return;
+    const std::uint64_t seq = r.u64();
+    if (r.i32() > 500) throw std::logic_error("count invariant violated");
+    ctx.send(src, wire::MessageWriter(2).u64(seq).take());
+  }
+  void on_timer(vm::GuestContext&, std::uint64_t) override {}
+  void save(serial::Writer&) const override {}
+  void load(serial::Reader&) override {}
+  std::string_view kind() const override { return "invariant-server"; }
+};
+
 struct ToyClient final : vm::GuestNode {
   std::uint64_t seq = 0;
   void start(vm::GuestContext& ctx) override {
@@ -101,15 +121,19 @@ struct ToyClient final : vm::GuestNode {
   std::string_view kind() const override { return "toy-client"; }
 };
 
-Scenario toy_scenario(bool bomb_server = false) {
+enum class Server { kToy, kBomb, kInvariant };
+
+Scenario toy_scenario(Server server = Server::kToy) {
   Scenario sc;
   sc.system_name = "toy";
   sc.schema = &toy_schema();
   sc.testbed.net.nodes = 2;
   sc.testbed.net.default_link.delay = kMillisecond;
-  sc.factory = [bomb_server](NodeId id) -> std::unique_ptr<vm::GuestNode> {
+  sc.factory = [server](NodeId id) -> std::unique_ptr<vm::GuestNode> {
     if (id == 0) return std::make_unique<ToyClient>();
-    if (bomb_server) return std::make_unique<BombServer>();
+    if (server == Server::kBomb) return std::make_unique<BombServer>();
+    if (server == Server::kInvariant)
+      return std::make_unique<InvariantServer>();
     return std::make_unique<ToyServer>();
   };
   sc.malicious = {0};
@@ -314,7 +338,7 @@ TEST(FaultTolerance, SnapshotDecodeFailureQuarantinesEveryPendingBranch) {
 }
 
 TEST(FaultTolerance, RunawayBranchHitsTheEventBudgetAndSkipsRetry) {
-  Scenario sc = toy_scenario(/*bomb_server=*/true);
+  Scenario sc = toy_scenario(Server::kBomb);
   sc.fault.max_branch_events = 20'000;
   set_default_jobs(1);
   BranchExecutor exec(sc);
@@ -377,6 +401,78 @@ TEST(FaultTolerance, ProxyAndEmulatorSitesAreRetriedLikeAnyBranchFault) {
     EXPECT_EQ(r.attempts, 2u);
   }
   set_default_jobs(0);
+  EXPECT_TRUE(exec.failed().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Containment taxonomy: one classifier, one contain() for every attempt kind
+// ---------------------------------------------------------------------------
+
+TEST(Containment, ClassifierSortsFailuresIntoThreeClasses) {
+  using runtime::FailureClass;
+  EXPECT_EQ(runtime::classify_failure(netem::BudgetExceededError("runaway")),
+            FailureClass::kDeterministic);
+  EXPECT_EQ(runtime::classify_failure(std::logic_error("invariant")),
+            FailureClass::kDeterministic);
+  EXPECT_EQ(runtime::classify_failure(fault::FaultError("armed site")),
+            FailureClass::kTransient);
+  EXPECT_EQ(runtime::classify_failure(vm::GuestFault("guest bug")),
+            FailureClass::kOther);
+  EXPECT_EQ(runtime::classify_failure(std::runtime_error("anything else")),
+            FailureClass::kOther);
+}
+
+TEST(Containment, InvariantViolationQuarantinesOnTheFirstAttempt) {
+  Scenario sc = toy_scenario(Server::kInvariant);
+  sc.fault.max_retries = 2;
+  set_default_jobs(1);
+  BranchExecutor exec(sc);
+  const auto& points = exec.discover();
+
+  const proxy::MaliciousAction trip =
+      lie_on_count(proxy::LieStrategy::kAdd, 1000);
+  const auto r = exec.try_run_branch(points[0], &trip, 1);
+  set_default_jobs(0);
+
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.attempts, 1u)
+      << "a deterministic failure must not burn the retry budget";
+  EXPECT_NE(r.error.find("count invariant"), std::string::npos) << r.error;
+  ASSERT_EQ(exec.failed().size(), 1u);
+  EXPECT_EQ(exec.cost().retries, 0u);
+}
+
+TEST(Containment, ContinuationRetriesATransientLoadFault) {
+  const Scenario sc = toy_scenario();
+  set_default_jobs(1);
+  BranchExecutor clean(sc);
+  const auto clean_next =
+      clean.try_continue_branch(clean.discover()[0], nullptr, sc.window);
+  ASSERT_TRUE(clean_next.has_value());
+
+  BranchExecutor exec(sc);
+  const auto& points = exec.discover();
+  const SearchCost before = exec.cost();
+  std::optional<BranchExecutor::InjectionPoint> next;
+  {
+    fault::ScopedFaults plan("snapshot-load:hit:1");
+    next = exec.try_continue_branch(points[0], nullptr, sc.window);
+  }
+  set_default_jobs(0);
+
+  ASSERT_TRUE(next.has_value()) << "the second attempt must succeed";
+  EXPECT_EQ(next->time, clean_next->time);
+  EXPECT_EQ(*next->snapshot, *clean_next->snapshot)
+      << "a retried continuation must reproduce the fault-free snapshot";
+  // Both attempts are charged: one load, one save and the advance each.
+  const SearchCost& c = exec.cost();
+  EXPECT_EQ(c.loads - before.loads, 2u);
+  EXPECT_EQ(c.saves - before.saves, 2u);
+  EXPECT_EQ(c.retries - before.retries, 1u);
+  EXPECT_EQ(c.branches, before.branches) << "a continuation is not a branch";
+  EXPECT_EQ(c.snapshots - before.snapshots,
+            2 * (sc.branch_cost.load_cost + sc.branch_cost.save_cost));
+  EXPECT_EQ(c.execution - before.execution, 2 * sc.window);
   EXPECT_TRUE(exec.failed().empty());
 }
 
@@ -579,8 +675,8 @@ TEST(FaultAcceptance, TelemetryCountersMatchResultUnderFaults) {
   }
 }
 
-// Same agreement for brute force, whose cost accounting bypasses
-// BranchExecutor (its merge loop charges SearchCost directly).
+// Same agreement for brute force, whose cold-point branches the executor
+// charges at the same site.
 TEST(FaultAcceptance, BruteForceTelemetryMatchesResultUnderFaults) {
   Scenario sc = pbft_scenario();
   sc.fault.max_retries = 2;

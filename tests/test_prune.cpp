@@ -373,5 +373,24 @@ TEST(PruneDeterminism, ProvenanceArtifactsAreByteIdenticalAcrossJobs) {
   EXPECT_NE(serial.first.find("\"available\":true"), std::string::npos);
 }
 
+// Greedy re-evaluates its first injection point on every repetition, so a
+// branch can follow its own earlier run (same key, same digest). Its
+// provenance is already harvested under that key: no self-alias is added,
+// and the search completes with the prune-off result.
+TEST(PruneDeterminism, GreedyWithProvenanceFollowsItsOwnEarlierRun) {
+  GreedyOptions opt;
+  opt.confirmations = 2;
+  opt.max_repetitions = 2;
+  set_default_jobs(1);
+  const SearchResult off = greedy_search(prune_scenario(false), opt);
+  Scenario sc = prune_scenario(true);
+  sc.testbed.net.capture.enabled = true;
+  ProvenanceStore store;
+  SearchResult on;
+  ASSERT_NO_THROW(on = greedy_search(sc, opt, nullptr, &store));
+  set_default_jobs(0);
+  expect_identical(off, on);
+}
+
 }  // namespace
 }  // namespace turret::search
