@@ -19,6 +19,6 @@ cmake --build "$BUILD_DIR" --target turret_tests -j "$(nproc)"
 # fork() don't mix.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR/tests/turret_tests" \
-  --gtest_filter='ThreadPool.*:EventQueue.*:MessageBuf.*:Trace.*:Telemetry.*:Histogram.*:FixedPoint.*:MetricRegistry.*:MetricsCollector.*:MetricSpecParser.*:TailDamage.*:TailSearch.*:DelayHistogram.*:ParallelSearchDeterminism.*:PruneDeterminism.*:Hash.*:Executor.*:Greedy.*:WeightedGreedy.*:BruteForce.*:FaultSpec.*:FaultInjectorTest.*:FaultTolerance.*:FaultAcceptance.*:Containment.*:AllSystems/GuestBoundaryGuard.*:Journal.*:JournalResume.*:Capture.*:FlightRecorder.*:Audit.*:AuditLog.*:Provenance.*:PageStore.*:MemoryImageDirty.*:MemoryImageCow.*:KsmIndex.*:SnapshotErrors.*:*SnapshotMode.*:SnapshotSaveStats.*:SnapshotDecode.*:SnapshotModeDeterminism.*:Backoff.*:DistProtocol.*:DistFrameProperty.*:DistInProcess.*:GracefulShutdown.*:SchemaSweepGuard.*:SignedSystems/SignedWireProperty.*:SignedSystems/SignedSystemSearch.ByteIdenticalAcrossJobsAndPrune*'
+  --gtest_filter='ThreadPool.*:EventQueue.*:MessageBuf.*:Trace.*:Telemetry.*:CounterTable.*:StatsGolden.*:Histogram.*:FixedPoint.*:MetricRegistry.*:MetricsCollector.*:MetricSpecParser.*:TailDamage.*:TailSearch.*:DelayHistogram.*:ParallelSearchDeterminism.*:PruneDeterminism.*:Hash.*:Executor.*:Greedy.*:WeightedGreedy.*:BruteForce.*:FaultSpec.*:FaultInjectorTest.*:FaultTolerance.*:FaultAcceptance.*:Containment.*:AllSystems/GuestBoundaryGuard.*:Journal.*:JournalResume.*:Capture.*:FlightRecorder.*:Audit.*:AuditLog.*:Provenance.*:PageStore.*:MemoryImageDirty.*:MemoryImageCow.*:KsmIndex.*:SnapshotErrors.*:*SnapshotMode.*:SnapshotSaveStats.*:SnapshotDecode.*:SnapshotModeDeterminism.*:Backoff.*:DistProtocol.*:DistFrameProperty.*:DistInProcess.*:GracefulShutdown.*:SchemaSweepGuard.*:SignedSystems/SignedWireProperty.*:SignedSystems/SignedSystemSearch.ByteIdenticalAcrossJobsAndPrune*'
 
 echo "TSan check passed."

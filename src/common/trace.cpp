@@ -114,145 +114,51 @@ std::string_view clock_name(Clock c) {
 
 CounterSnapshot Counters::snapshot() const {
   CounterSnapshot s;
-  s.branch_attempts = branch_attempts.load(std::memory_order_relaxed);
-  s.branch_retries = branch_retries.load(std::memory_order_relaxed);
-  s.branch_quarantines = branch_quarantines.load(std::memory_order_relaxed);
-  s.budget_aborts = budget_aborts.load(std::memory_order_relaxed);
-  s.decode_hits = decode_hits.load(std::memory_order_relaxed);
-  s.decode_misses = decode_misses.load(std::memory_order_relaxed);
-  s.emu_events = emu_events.load(std::memory_order_relaxed);
-  s.reassembly_evicted = reassembly_evicted.load(std::memory_order_relaxed);
-  s.proxy_observed = proxy_observed.load(std::memory_order_relaxed);
-  s.proxy_injected = proxy_injected.load(std::memory_order_relaxed);
-  s.journal_replays = journal_replays.load(std::memory_order_relaxed);
-  s.snapshot_saves = snapshot_saves.load(std::memory_order_relaxed);
-  s.snapshot_loads = snapshot_loads.load(std::memory_order_relaxed);
-  s.snapshot_bytes_written =
-      snapshot_bytes_written.load(std::memory_order_relaxed);
-  s.snapshot_bytes_deduped =
-      snapshot_bytes_deduped.load(std::memory_order_relaxed);
-  s.cow_page_faults = cow_page_faults.load(std::memory_order_relaxed);
-  s.pagestore_pages = pagestore_pages.load(std::memory_order_relaxed);
-  s.pagestore_bytes = pagestore_bytes.load(std::memory_order_relaxed);
-  s.pagestore_evicted = pagestore_evicted.load(std::memory_order_relaxed);
-  s.branches_pruned = branches_pruned.load(std::memory_order_relaxed);
-  s.prune_table_entries =
-      prune_table_entries.load(std::memory_order_relaxed);
-  s.fingerprints = fingerprints.load(std::memory_order_relaxed);
-  s.prune_settle_ns = prune_settle_ns.load(std::memory_order_relaxed);
-  s.prune_skipped_ns = prune_skipped_ns.load(std::memory_order_relaxed);
-  s.hash_collisions = hash_collisions.load(std::memory_order_relaxed);
-  s.hash_chain_max = hash_chain_max.load(std::memory_order_relaxed);
-  s.dist_units_sent = dist_units_sent.load(std::memory_order_relaxed);
-  s.dist_units_merged = dist_units_merged.load(std::memory_order_relaxed);
-  s.dist_reassignments = dist_reassignments.load(std::memory_order_relaxed);
-  s.dist_worker_deaths = dist_worker_deaths.load(std::memory_order_relaxed);
-  s.dist_heartbeats = dist_heartbeats.load(std::memory_order_relaxed);
-  s.dist_local_fallbacks =
-      dist_local_fallbacks.load(std::memory_order_relaxed);
-  s.dist_bytes_sent = dist_bytes_sent.load(std::memory_order_relaxed);
-  s.dist_bytes_recv = dist_bytes_recv.load(std::memory_order_relaxed);
-  s.discover_ns = discover_ns.load(std::memory_order_relaxed);
-  s.evaluate_ns = evaluate_ns.load(std::memory_order_relaxed);
-  s.classify_ns = classify_ns.load(std::memory_order_relaxed);
-  s.advance_ns = advance_ns.load(std::memory_order_relaxed);
-  s.dropped_events = dropped_events.load(std::memory_order_relaxed);
+  for (const CounterRow& row : kCounterRows) s.*row.value = get(row.id);
   return s;
 }
 
 void Counters::reset() {
-  branch_attempts.store(0, std::memory_order_relaxed);
-  branch_retries.store(0, std::memory_order_relaxed);
-  branch_quarantines.store(0, std::memory_order_relaxed);
-  budget_aborts.store(0, std::memory_order_relaxed);
-  decode_hits.store(0, std::memory_order_relaxed);
-  decode_misses.store(0, std::memory_order_relaxed);
-  emu_events.store(0, std::memory_order_relaxed);
-  reassembly_evicted.store(0, std::memory_order_relaxed);
-  proxy_observed.store(0, std::memory_order_relaxed);
-  proxy_injected.store(0, std::memory_order_relaxed);
-  journal_replays.store(0, std::memory_order_relaxed);
-  snapshot_saves.store(0, std::memory_order_relaxed);
-  snapshot_loads.store(0, std::memory_order_relaxed);
-  snapshot_bytes_written.store(0, std::memory_order_relaxed);
-  snapshot_bytes_deduped.store(0, std::memory_order_relaxed);
-  cow_page_faults.store(0, std::memory_order_relaxed);
-  pagestore_pages.store(0, std::memory_order_relaxed);
-  pagestore_bytes.store(0, std::memory_order_relaxed);
-  pagestore_evicted.store(0, std::memory_order_relaxed);
-  branches_pruned.store(0, std::memory_order_relaxed);
-  prune_table_entries.store(0, std::memory_order_relaxed);
-  fingerprints.store(0, std::memory_order_relaxed);
-  prune_settle_ns.store(0, std::memory_order_relaxed);
-  prune_skipped_ns.store(0, std::memory_order_relaxed);
-  hash_collisions.store(0, std::memory_order_relaxed);
-  hash_chain_max.store(0, std::memory_order_relaxed);
-  dist_units_sent.store(0, std::memory_order_relaxed);
-  dist_units_merged.store(0, std::memory_order_relaxed);
-  dist_reassignments.store(0, std::memory_order_relaxed);
-  dist_worker_deaths.store(0, std::memory_order_relaxed);
-  dist_heartbeats.store(0, std::memory_order_relaxed);
-  dist_local_fallbacks.store(0, std::memory_order_relaxed);
-  dist_bytes_sent.store(0, std::memory_order_relaxed);
-  dist_bytes_recv.store(0, std::memory_order_relaxed);
-  discover_ns.store(0, std::memory_order_relaxed);
-  evaluate_ns.store(0, std::memory_order_relaxed);
-  classify_ns.store(0, std::memory_order_relaxed);
-  advance_ns.store(0, std::memory_order_relaxed);
-  dropped_events.store(0, std::memory_order_relaxed);
+  for (auto& v : v_) v.store(0, std::memory_order_relaxed);
 }
 
-namespace {
-constexpr std::size_t count_counter_fields() {
-  std::size_t n = 0;
-#define TURRET_COUNT_FIELD(name) ++n;
-  TURRET_COUNTER_FIELDS(TURRET_COUNT_FIELD)
-#undef TURRET_COUNT_FIELD
-  return n;
+void Counters::raise(Counter c, std::uint64_t v) {
+  std::atomic<std::uint64_t>& a = at(c);
+  std::uint64_t prev = a.load(std::memory_order_relaxed);
+  while (prev < v &&
+         !a.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
+  }
 }
-static_assert(count_counter_fields() == kCounterFieldCount,
-              "TURRET_COUNTER_FIELDS and kCounterFieldCount disagree — a "
-              "counter was added to one but not the other");
-static_assert(sizeof(CounterSnapshot) ==
-                  kCounterFieldCount * sizeof(std::uint64_t),
-              "CounterSnapshot has a field missing from "
-              "TURRET_COUNTER_FIELDS");
-}  // namespace
 
 void save_counters(const CounterSnapshot& s, serial::Writer& w) {
-  w.u32(static_cast<std::uint32_t>(kCounterFieldCount));
-#define TURRET_SAVE_FIELD(name) w.u64(s.name);
-  TURRET_COUNTER_FIELDS(TURRET_SAVE_FIELD)
-#undef TURRET_SAVE_FIELD
+  w.u32(static_cast<std::uint32_t>(std::size(kCounterRows)));
+  for (const CounterRow& row : kCounterRows) w.u64(s.*row.value);
 }
 
 CounterSnapshot load_counters(serial::Reader& r) {
   const std::uint32_t n = r.u32();
-  if (n != kCounterFieldCount) {
+  if (n != std::size(kCounterRows)) {
     throw serial::SerialError("counter snapshot field-count mismatch: got " +
                               std::to_string(n));
   }
   CounterSnapshot s;
-#define TURRET_LOAD_FIELD(name) s.name = r.u64();
-  TURRET_COUNTER_FIELDS(TURRET_LOAD_FIELD)
-#undef TURRET_LOAD_FIELD
+  for (const CounterRow& row : kCounterRows) s.*row.value = r.u64();
   return s;
 }
 
 CounterSnapshot counter_delta(const CounterSnapshot& now,
                               const CounterSnapshot& prev) {
   CounterSnapshot d;
-#define TURRET_DELTA_FIELD(name) \
-  d.name = now.name >= prev.name ? now.name - prev.name : 0;
-  TURRET_COUNTER_FIELDS(TURRET_DELTA_FIELD)
-#undef TURRET_DELTA_FIELD
+  for (const CounterRow& row : kCounterRows) {
+    const std::uint64_t a = now.*row.value;
+    const std::uint64_t b = prev.*row.value;
+    d.*row.value = a >= b ? a - b : 0;
+  }
   return d;
 }
 
 void counter_accumulate(CounterSnapshot& into, const CounterSnapshot& d) {
-#define TURRET_ACC_FIELD(name) into.name += d.name;
-  TURRET_COUNTER_FIELDS(TURRET_ACC_FIELD)
-#undef TURRET_ACC_FIELD
+  for (const CounterRow& row : kCounterRows) into.*row.value += d.*row.value;
 }
 
 Tracer& Tracer::instance() {
@@ -288,7 +194,7 @@ void Tracer::record(TraceEvent ev) {
     // Drop-newest: under overflow which events survive depends on arrival
     // order, so a nonzero dropped_events voids the determinism guarantee;
     // telemetry surfaces it and tests size their buffers to never drop.
-    counters_.dropped_events.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(Counter::dropped_events, 1);
     return;
   }
   buffer_.push_back(std::move(ev));
@@ -317,56 +223,12 @@ std::string Tracer::chrome_json() const {
     first = false;
     append_event_json(out, e);
   }
-  // Final counter values as 'C' samples, in a fixed order so the tail of the
+  // Final counter values as 'C' samples, in table order so the tail of the
   // file is as deterministic as the span list above it.
-  const struct {
-    const char* name;
-    std::uint64_t value;
-  } counters[] = {
-      {"branch_attempts", c.branch_attempts},
-      {"branch_retries", c.branch_retries},
-      {"branch_quarantines", c.branch_quarantines},
-      {"budget_aborts", c.budget_aborts},
-      {"decode_hits", c.decode_hits},
-      {"decode_misses", c.decode_misses},
-      {"emu_events", c.emu_events},
-      {"reassembly_evicted", c.reassembly_evicted},
-      {"proxy_observed", c.proxy_observed},
-      {"proxy_injected", c.proxy_injected},
-      {"journal_replays", c.journal_replays},
-      {"snapshot_saves", c.snapshot_saves},
-      {"snapshot_loads", c.snapshot_loads},
-      {"snapshot_bytes_written", c.snapshot_bytes_written},
-      {"snapshot_bytes_deduped", c.snapshot_bytes_deduped},
-      {"cow_page_faults", c.cow_page_faults},
-      {"pagestore_pages", c.pagestore_pages},
-      {"pagestore_bytes", c.pagestore_bytes},
-      {"pagestore_evicted", c.pagestore_evicted},
-      {"branches_pruned", c.branches_pruned},
-      {"prune_table_entries", c.prune_table_entries},
-      {"fingerprints", c.fingerprints},
-      {"prune_settle_ns", c.prune_settle_ns},
-      {"prune_skipped_ns", c.prune_skipped_ns},
-      {"hash_collisions", c.hash_collisions},
-      {"hash_chain_max", c.hash_chain_max},
-      {"dist_units_sent", c.dist_units_sent},
-      {"dist_units_merged", c.dist_units_merged},
-      {"dist_reassignments", c.dist_reassignments},
-      {"dist_worker_deaths", c.dist_worker_deaths},
-      {"dist_heartbeats", c.dist_heartbeats},
-      {"dist_local_fallbacks", c.dist_local_fallbacks},
-      {"dist_bytes_sent", c.dist_bytes_sent},
-      {"dist_bytes_recv", c.dist_bytes_recv},
-      {"discover_ns", c.discover_ns},
-      {"evaluate_ns", c.evaluate_ns},
-      {"classify_ns", c.classify_ns},
-      {"advance_ns", c.advance_ns},
-      {"dropped_events", c.dropped_events},
-  };
-  for (const auto& entry : counters) {
+  for (const CounterRow& row : kCounterRows) {
     if (!first) out += ",\n";
     first = false;
-    append_counter_json(out, entry.name, entry.value);
+    append_counter_json(out, row.name, c.*row.value);
   }
   out += "\n],\"otherData\":{\"clock\":\"";
   out += clock_name(clock());

@@ -9,9 +9,10 @@
 //     per algorithm scan, per snapshot decode; instants for weight bumps and
 //     journal replays), collected in a thread-safe bounded buffer and emitted
 //     as chrome://tracing JSON.
-//   * Counters: a fixed set of relaxed atomics bumped at the same program
-//     points that charge SearchCost, so telemetry totals provably agree with
-//     the result they describe (tests assert equality under injected faults).
+//   * Counters: one relaxed atomic per row of the counter table
+//     (TURRET_COUNTERS). The rows that mirror SearchCost are charged by the
+//     same call that charges it, so telemetry totals provably agree with the
+//     result they describe (tests assert equality under injected faults).
 //
 // Two clocks:
 //   * kVirtual (deterministic, the default under tests): events are stamped
@@ -27,6 +28,7 @@
 // off.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -50,151 +52,149 @@ enum class Clock : std::uint8_t {
 
 std::string_view clock_name(Clock c);
 
-/// Every counter field in declaration order — the single source of truth for
-/// CounterSnapshot serialization (dist telemetry frames), field-wise
-/// arithmetic, and the per-worker stats breakdown. A new counter must be
-/// added to the struct, the atomic set, AND this list (the static_assert in
-/// trace.cpp trips otherwise).
-#define TURRET_COUNTER_FIELDS(X) \
-  X(branch_attempts)             \
-  X(branch_retries)              \
-  X(branch_quarantines)          \
-  X(budget_aborts)               \
-  X(decode_hits)                 \
-  X(decode_misses)               \
-  X(emu_events)                  \
-  X(reassembly_evicted)          \
-  X(proxy_observed)              \
-  X(proxy_injected)              \
-  X(journal_replays)             \
-  X(snapshot_saves)              \
-  X(snapshot_loads)              \
-  X(snapshot_bytes_written)      \
-  X(snapshot_bytes_deduped)      \
-  X(cow_page_faults)             \
-  X(pagestore_pages)             \
-  X(pagestore_bytes)             \
-  X(pagestore_evicted)           \
-  X(branches_pruned)             \
-  X(prune_table_entries)         \
-  X(fingerprints)                \
-  X(prune_settle_ns)             \
-  X(prune_skipped_ns)            \
-  X(hash_collisions)             \
-  X(hash_chain_max)              \
-  X(dist_units_sent)             \
-  X(dist_units_merged)           \
-  X(dist_reassignments)          \
-  X(dist_worker_deaths)          \
-  X(dist_heartbeats)             \
-  X(dist_local_fallbacks)        \
-  X(dist_bytes_sent)             \
-  X(dist_bytes_recv)             \
-  X(discover_ns)                 \
-  X(evaluate_ns)                 \
-  X(classify_ns)                 \
-  X(advance_ns)                  \
-  X(dropped_events)
+/// Where a counter is reported: the deterministic "stats" block, the
+/// "phase_ns" object nested in it, or the shape-dependent "fleet" block.
+enum class Block : std::uint8_t { kStats, kPhase, kFleet };
 
-inline constexpr std::size_t kCounterFieldCount = 39;
+/// The counter table: one row per counter, in report, trace and wire order.
+///
+///   X(field, JSON key, block, execution site)
+///
+/// `field` names the CounterSnapshot member, the Counter enumerator and the
+/// Chrome trace sample; the JSON key is what the stats or fleet block prints.
+/// An execution-site counter is bumped where a branch executes, so a
+/// distributed coordinator merges it from worker deltas and the fleet block
+/// breaks it down per worker. Adding a counter is adding one row here; every
+/// list of counters (snapshot, reset, wire format, JSON, trace samples,
+/// worker merge) is generated from it or loops over it.
+#define TURRET_COUNTERS(X)                                                  \
+  /* Mirrors of SearchCost::branches and ::retries, SearchResult::failed */ \
+  X(branch_attempts, "branch_attempts", kStats, false)                      \
+  X(branch_retries, "retries", kStats, false)                               \
+  X(branch_quarantines, "quarantines", kStats, false)                       \
+  /* Branches ended by the event budget */                                  \
+  X(budget_aborts, "budget_aborts", kStats, true)                           \
+  /* DecodedSnapshot cache */                                               \
+  X(decode_hits, "decode_hits", kStats, false)                              \
+  X(decode_misses, "decode_misses", kStats, false)                          \
+  /* Emulator events dispatched, stranded reassemblies reaped, messages  */ \
+  /* the proxy saw from malicious senders and transformed: harvested     */ \
+  /* from each world's own stats when it is torn down                    */ \
+  X(emu_events, "emu_events", kStats, true)                                 \
+  X(reassembly_evicted, "reassembly_evicted", kStats, true)                 \
+  X(proxy_observed, "proxy_observed", kStats, true)                         \
+  X(proxy_injected, "proxy_injected", kStats, true)                         \
+  /* Branches served from the journal */                                    \
+  X(journal_replays, "journal_replays", kStats, false)                      \
+  /* Mirrors of SearchCost::saves and ::loads; bytes written (blob + new */ \
+  /* page-store pages) and page bytes replaced by references             */ \
+  X(snapshot_saves, "snapshot_saves", kStats, false)                        \
+  X(snapshot_loads, "snapshot_loads", kStats, false)                        \
+  X(snapshot_bytes_written, "snapshot_bytes_written", kStats, false)        \
+  X(snapshot_bytes_deduped, "snapshot_bytes_deduped", kStats, false)        \
+  /* Pages copied out of adopted bases, harvested the same way */           \
+  X(cow_page_faults, "cow_page_faults", kStats, true)                       \
+  /* Page-store occupancy gauges (latest value) and pages reclaimed */      \
+  X(pagestore_pages, "pagestore_pages", kStats, false)                      \
+  X(pagestore_bytes, "pagestore_bytes", kStats, false)                      \
+  X(pagestore_evicted, "pagestore_evicted", kStats, false)                  \
+  /* Pruning: branches served by the table, its size (gauge), fleet      */ \
+  /* fingerprints, virtual time run to settle points and time avoided    */ \
+  X(branches_pruned, "branches_pruned", kStats, false)                      \
+  X(prune_table_entries, "prune_table_entries", kStats, false)              \
+  X(fingerprints, "fingerprints", kStats, false)                            \
+  X(prune_settle_ns, "prune_settle_ns", kStats, false)                      \
+  X(prune_skipped_ns, "prune_skipped_ns", kStats, false)                    \
+  /* Decode-cache digest matches settled by bytes; longest chain (gauge) */ \
+  X(hash_collisions, "hash_collisions", kStats, false)                      \
+  X(hash_chain_max, "hash_chain_max", kStats, false)                        \
+  /* Distributed runtime: units granted and merged, leases reissued,     */ \
+  /* connections lost, heartbeats, branches degraded to local, frame     */ \
+  /* bytes on sockets                                                    */ \
+  X(dist_units_sent, "dist_units_sent", kFleet, false)                      \
+  X(dist_units_merged, "dist_units_merged", kFleet, false)                  \
+  X(dist_reassignments, "dist_reassignments", kFleet, false)                \
+  X(dist_worker_deaths, "dist_worker_deaths", kFleet, false)                \
+  X(dist_heartbeats, "dist_heartbeats", kFleet, false)                      \
+  X(dist_local_fallbacks, "dist_local_fallbacks", kFleet, false)            \
+  X(dist_bytes_sent, "dist_bytes_sent", kFleet, true)                       \
+  X(dist_bytes_recv, "dist_bytes_recv", kFleet, true)                       \
+  /* Virtual time charged per search phase (SearchCost::execution) */       \
+  X(discover_ns, "discover", kPhase, false)                                 \
+  X(evaluate_ns, "evaluate", kPhase, false)                                 \
+  X(classify_ns, "classify", kPhase, false)                                 \
+  X(advance_ns, "advance", kPhase, false)                                   \
+  /* Spans lost to a full trace buffer */                                   \
+  X(dropped_events, "dropped_trace_events", kStats, false)
 
-/// Plain-value copy of the counter set at one moment.
+/// One enumerator per row, in table order.
+enum class Counter : std::uint8_t {
+#define TURRET_COUNTER_ENUM(field, key, block, site) field,
+  TURRET_COUNTERS(TURRET_COUNTER_ENUM)
+#undef TURRET_COUNTER_ENUM
+};
+
+/// Plain-value copy of the counter set at one moment: one field per row.
 struct CounterSnapshot {
-  std::uint64_t branch_attempts = 0;  ///< mirrors SearchCost::branches
-  std::uint64_t branch_retries = 0;   ///< mirrors SearchCost::retries
-  std::uint64_t branch_quarantines = 0;  ///< mirrors SearchResult::failed size
-  std::uint64_t budget_aborts = 0;    ///< branches ended by the event budget
-  std::uint64_t decode_hits = 0;      ///< DecodedSnapshot cache hits
-  std::uint64_t decode_misses = 0;    ///< DecodedSnapshot cache misses
-  std::uint64_t emu_events = 0;       ///< emulator events dispatched
-  std::uint64_t reassembly_evicted = 0;  ///< stranded reassemblies reaped
-  std::uint64_t proxy_observed = 0;   ///< malicious-sender messages seen
-  std::uint64_t proxy_injected = 0;   ///< messages an armed action transformed
-  std::uint64_t journal_replays = 0;  ///< branches served from the journal
-  std::uint64_t snapshot_saves = 0;
-  std::uint64_t snapshot_loads = 0;
-  std::uint64_t snapshot_bytes_written = 0;  ///< blob + new page-store bytes
-  std::uint64_t snapshot_bytes_deduped = 0;  ///< page bytes replaced by refs
-  std::uint64_t cow_page_faults = 0;  ///< pages copied out of adopted bases
-  std::uint64_t pagestore_pages = 0;  ///< occupancy gauge (latest, not a sum)
-  std::uint64_t pagestore_bytes = 0;  ///< occupancy gauge (latest, not a sum)
-  std::uint64_t pagestore_evicted = 0;  ///< pages reclaimed between scans
-  std::uint64_t branches_pruned = 0;  ///< branches served by the prune table
-  std::uint64_t prune_table_entries = 0;  ///< gauge: canonical fingerprints
-  std::uint64_t fingerprints = 0;     ///< fleet fingerprints computed
-  std::uint64_t prune_settle_ns = 0;  ///< virtual time run to the settle point
-  std::uint64_t prune_skipped_ns = 0; ///< virtual time pruning avoided
-  std::uint64_t hash_collisions = 0;  ///< digest matches settled by bytes
-  std::uint64_t hash_chain_max = 0;   ///< gauge: longest collision chain seen
-  std::uint64_t dist_units_sent = 0;  ///< work units granted to workers
-  std::uint64_t dist_units_merged = 0;  ///< worker results merged
-  std::uint64_t dist_reassignments = 0;  ///< leases reissued after a death
-  std::uint64_t dist_worker_deaths = 0;  ///< connections lost or timed out
-  std::uint64_t dist_heartbeats = 0;  ///< heartbeat frames received
-  std::uint64_t dist_local_fallbacks = 0;  ///< branches degraded to local
-  std::uint64_t dist_bytes_sent = 0;  ///< frame bytes written to sockets
-  std::uint64_t dist_bytes_recv = 0;  ///< frame bytes read from sockets
-  std::uint64_t discover_ns = 0;      ///< virtual time per search phase...
-  std::uint64_t evaluate_ns = 0;      ///< (one-window branches)
-  std::uint64_t classify_ns = 0;      ///< (two-window branches / full runs)
-  std::uint64_t advance_ns = 0;       ///< (continuation branches)
-  std::uint64_t dropped_events = 0;   ///< spans lost to a full trace buffer
+#define TURRET_COUNTER_FIELD(field, key, block, site) std::uint64_t field = 0;
+  TURRET_COUNTERS(TURRET_COUNTER_FIELD)
+#undef TURRET_COUNTER_FIELD
 
   std::uint64_t execution_ns() const {
     return discover_ns + evaluate_ns + classify_ns + advance_ns;
   }
 };
 
-/// The process-wide counter set. Relaxed atomics: every counter is a sum of
-/// per-branch contributions, so totals are order-independent and identical
-/// across worker counts (the property the determinism tests assert).
-struct Counters {
-  std::atomic<std::uint64_t> branch_attempts{0};
-  std::atomic<std::uint64_t> branch_retries{0};
-  std::atomic<std::uint64_t> branch_quarantines{0};
-  std::atomic<std::uint64_t> budget_aborts{0};
-  std::atomic<std::uint64_t> decode_hits{0};
-  std::atomic<std::uint64_t> decode_misses{0};
-  std::atomic<std::uint64_t> emu_events{0};
-  std::atomic<std::uint64_t> reassembly_evicted{0};
-  std::atomic<std::uint64_t> proxy_observed{0};
-  std::atomic<std::uint64_t> proxy_injected{0};
-  std::atomic<std::uint64_t> journal_replays{0};
-  std::atomic<std::uint64_t> snapshot_saves{0};
-  std::atomic<std::uint64_t> snapshot_loads{0};
-  std::atomic<std::uint64_t> snapshot_bytes_written{0};
-  std::atomic<std::uint64_t> snapshot_bytes_deduped{0};
-  std::atomic<std::uint64_t> cow_page_faults{0};
-  std::atomic<std::uint64_t> pagestore_pages{0};
-  std::atomic<std::uint64_t> pagestore_bytes{0};
-  std::atomic<std::uint64_t> pagestore_evicted{0};
-  std::atomic<std::uint64_t> branches_pruned{0};
-  std::atomic<std::uint64_t> prune_table_entries{0};
-  std::atomic<std::uint64_t> fingerprints{0};
-  std::atomic<std::uint64_t> prune_settle_ns{0};
-  std::atomic<std::uint64_t> prune_skipped_ns{0};
-  std::atomic<std::uint64_t> hash_collisions{0};
-  std::atomic<std::uint64_t> hash_chain_max{0};
-  std::atomic<std::uint64_t> dist_units_sent{0};
-  std::atomic<std::uint64_t> dist_units_merged{0};
-  std::atomic<std::uint64_t> dist_reassignments{0};
-  std::atomic<std::uint64_t> dist_worker_deaths{0};
-  std::atomic<std::uint64_t> dist_heartbeats{0};
-  std::atomic<std::uint64_t> dist_local_fallbacks{0};
-  std::atomic<std::uint64_t> dist_bytes_sent{0};
-  std::atomic<std::uint64_t> dist_bytes_recv{0};
-  std::atomic<std::uint64_t> discover_ns{0};
-  std::atomic<std::uint64_t> evaluate_ns{0};
-  std::atomic<std::uint64_t> classify_ns{0};
-  std::atomic<std::uint64_t> advance_ns{0};
-  std::atomic<std::uint64_t> dropped_events{0};
+/// A table row as data, for the loops that copy, merge and print counters.
+struct CounterRow {
+  Counter id;
+  const char* name;  ///< the field name; also the Chrome trace sample name
+  const char* key;   ///< the JSON key
+  Block block;
+  bool execution_site;
+  std::uint64_t CounterSnapshot::*value;
+};
+
+inline constexpr CounterRow kCounterRows[] = {
+#define TURRET_COUNTER_ROW(field, key, block, site) \
+  {Counter::field, #field, key, Block::block, site, &CounterSnapshot::field},
+    TURRET_COUNTERS(TURRET_COUNTER_ROW)
+#undef TURRET_COUNTER_ROW
+};
+
+/// The process-wide counter set: one relaxed atomic per row. Every counter
+/// is a sum of per-branch contributions (or a gauge), so totals are
+/// order-independent and identical across worker counts (the property the
+/// determinism tests assert).
+class Counters {
+ public:
+  void add(Counter c, std::uint64_t n) {
+    at(c).fetch_add(n, std::memory_order_relaxed);
+  }
+  void set(Counter c, std::uint64_t v) {
+    at(c).store(v, std::memory_order_relaxed);
+  }
+  void raise(Counter c, std::uint64_t v);  ///< set to max(current, v)
+  std::uint64_t get(Counter c) const {
+    return at(c).load(std::memory_order_relaxed);
+  }
 
   CounterSnapshot snapshot() const;
   void reset();
+
+ private:
+  std::atomic<std::uint64_t>& at(Counter c) {
+    return v_[static_cast<std::size_t>(c)];
+  }
+  const std::atomic<std::uint64_t>& at(Counter c) const {
+    return v_[static_cast<std::size_t>(c)];
+  }
+
+  std::array<std::atomic<std::uint64_t>, std::size(kCounterRows)> v_{};
 };
 
-/// Serialize a snapshot in declaration order (u32 field count + one u64 per
-/// field) — the wire shape of the dist runtime's per-result telemetry delta.
+/// Serialize a snapshot in table order (u32 row count + one u64 per row) —
+/// the wire shape of the dist runtime's per-result telemetry delta.
 void save_counters(const CounterSnapshot& s, serial::Writer& w);
 CounterSnapshot load_counters(serial::Reader& r);
 
@@ -274,8 +274,25 @@ inline bool active() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// Counter access for instrumentation sites (bump only under active()).
+/// The process-wide counter set (reads; instrumentation sites use the calls
+/// below).
 inline Counters& counters() { return Tracer::instance().counters(); }
+
+/// Add `n` to counter `c`: the one call an instrumentation site makes. While
+/// tracing is disarmed it costs the relaxed load in active().
+inline void add(Counter c, std::uint64_t n = 1) {
+  if (active()) counters().add(c, n);
+}
+
+/// Store gauge `c`'s latest value.
+inline void set_gauge(Counter c, std::uint64_t v) {
+  if (active()) counters().set(c, v);
+}
+
+/// Raise gauge `c` to at least `v` (a high-water mark).
+inline void raise_gauge(Counter c, std::uint64_t v) {
+  if (active()) counters().raise(c, v);
+}
 
 /// RAII span. No-op unless tracing is active at construction. In wall mode
 /// the span covers construction→destruction; in virtual mode it covers the

@@ -30,10 +30,6 @@ std::int64_t now_ns() {
       .count();
 }
 
-void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n = 1) {
-  if (trace::active()) counter.fetch_add(n, std::memory_order_relaxed);
-}
-
 }  // namespace
 
 struct Coordinator::Conn {
@@ -184,7 +180,7 @@ void Coordinator::mark_dead(Conn& conn, Batch* batch, const char* why) {
   conn.dead = true;
   TLOG_INFO("coordinator: worker %llu lost (%s)",
             static_cast<unsigned long long>(conn.id), why);
-  bump(trace::counters().dist_worker_deaths);
+  trace::add(trace::Counter::dist_worker_deaths);
   if (conn.ready) alive_workers_.fetch_sub(1, std::memory_order_relaxed);
   close_fd(conn.fd);
   conn.fd = -1;
@@ -206,7 +202,7 @@ void Coordinator::mark_dead(Conn& conn, Batch* batch, const char* why) {
         ++batch->abandoned;
       } else {
         unit.state = Batch::Unit::State::kPending;
-        bump(trace::counters().dist_reassignments);
+        trace::add(trace::Counter::dist_reassignments);
       }
     }
   }
@@ -252,7 +248,7 @@ bool Coordinator::send_unit(Conn& conn, Batch& batch, std::size_t unit_index) {
   conn.lease = unit_index;
   conn.lease_id = msg.unit;
   conn.lease_start_ns = now_ns();
-  bump(trace::counters().dist_units_sent);
+  trace::add(trace::Counter::dist_units_sent);
   if (journal_ != nullptr) {
     // Audit trail only: grants are journaled under a non-branch key, so
     // --resume loads but never replays them. Completions are the ordinary
@@ -312,7 +308,7 @@ void Coordinator::handle_frame(Conn& conn, const Frame& frame, Batch* batch) {
       return;
     }
     case FrameType::kHeartbeat:
-      bump(trace::counters().dist_heartbeats);
+      trace::add(trace::Counter::dist_heartbeats);
       return;
     case FrameType::kResult: {
       if (batch == nullptr || conn.lease == kNoLease) return;  // stale
@@ -324,7 +320,7 @@ void Coordinator::handle_frame(Conn& conn, const Frame& frame, Batch* batch) {
         unit.state = Batch::Unit::State::kDone;
         ++batch->done;
         conn.lease = kNoLease;
-        bump(trace::counters().dist_units_merged);
+        trace::add(trace::Counter::dist_units_merged);
         if (msg.has_telemetry) merge_telemetry(conn.id, msg.telemetry);
       } catch (const std::exception& e) {
         // Garbage from a worker is indistinguishable from a dying worker:
@@ -343,25 +339,20 @@ void Coordinator::handle_frame(Conn& conn, const Frame& frame, Batch* batch) {
 
 void Coordinator::merge_telemetry(std::uint64_t conn_id,
                                   const trace::CounterSnapshot& delta) {
-  // Execution-site counters: in-process runs bump these while executing the
-  // branch; remote runs must therefore fold the worker's bumps back in for
-  // the stats block to stay byte-identical at any worker count. Each unit is
-  // merged exactly once (stale duplicates were filtered by the caller), and
-  // branch execution is deterministic, so the folded totals equal the
-  // in-process ones. Process-local caches (decode_*, hash_*) stay out: the
-  // coordinator decodes result blobs itself either way, so merging the
-  // worker's cache traffic would inflate, not complete, the totals.
-  // dist_bytes_* merge too — transport totals are fleet-block-only, and the
-  // fleet wants both directions of every socket counted.
-  trace::Counters& c = trace::counters();
-  bump(c.emu_events, delta.emu_events);
-  bump(c.reassembly_evicted, delta.reassembly_evicted);
-  bump(c.proxy_observed, delta.proxy_observed);
-  bump(c.proxy_injected, delta.proxy_injected);
-  bump(c.budget_aborts, delta.budget_aborts);
-  bump(c.cow_page_faults, delta.cow_page_faults);
-  bump(c.dist_bytes_sent, delta.dist_bytes_sent);
-  bump(c.dist_bytes_recv, delta.dist_bytes_recv);
+  // Execution-site counters (the counter table's execution-site rows):
+  // in-process runs count these while executing the branch; remote runs
+  // must therefore fold the worker's counts back in for the stats block to
+  // stay byte-identical at any worker count. Each unit is merged exactly
+  // once (stale duplicates were filtered by the caller), and branch
+  // execution is deterministic, so the folded totals equal the in-process
+  // ones. Process-local caches (decode_*, hash_*) stay out: the coordinator
+  // decodes result blobs itself either way, so merging the worker's cache
+  // traffic would inflate, not complete, the totals. dist_bytes_* merge too
+  // — transport totals are fleet-block-only, and the fleet wants both
+  // directions of every socket counted.
+  for (const trace::CounterRow& row : trace::kCounterRows) {
+    if (row.execution_site) trace::add(row.id, delta.*row.value);
+  }
 
   search::WorkerTelemetry& w = worker_stats_[conn_id];
   w.worker = conn_id;

@@ -349,10 +349,7 @@ void send_frame(int fd, FrameType type, BytesView payload) {
     throw ProtocolError(std::string("injected: ") + e.what());
   }
   const Bytes frame = encode_frame(type, payload);
-  if (trace::active()) {
-    trace::counters().dist_bytes_sent.fetch_add(frame.size(),
-                                                std::memory_order_relaxed);
-  }
+  trace::add(trace::Counter::dist_bytes_sent, frame.size());
   std::size_t off = 0;
   while (off < frame.size()) {
     const ssize_t n =
@@ -379,10 +376,7 @@ bool recv_into(int fd, FrameParser& parser) {
       throw ProtocolError(errno_string("recv"));
     }
     if (n == 0) return false;
-    if (trace::active()) {
-      trace::counters().dist_bytes_recv.fetch_add(
-          static_cast<std::uint64_t>(n), std::memory_order_relaxed);
-    }
+    trace::add(trace::Counter::dist_bytes_recv, static_cast<std::uint64_t>(n));
     parser.feed(BytesView(buf, static_cast<std::size_t>(n)));
     return true;
   }

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/fault.h"
-#include "common/trace.h"
 
 namespace turret::netem {
 
@@ -265,7 +264,6 @@ bool Emulator::step() {
   queue_.pop_with([this](Event& ev) {
     TURRET_CHECK_MSG(ev.at >= now_, "event scheduled in the past");
     now_ = ev.at;
-    ++stats_.events_processed;
     dispatch(ev);
   });
   return true;
@@ -280,8 +278,7 @@ void Emulator::run_until(Time t) {
 
 void Emulator::dispatch(Event& ev) {
   fault::inject(fault::kEmuDispatch);
-  if (trace::active())
-    trace::counters().emu_events.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.events_processed;  // after the fault site: a faulted event never ran
   switch (ev.kind) {
     case EventKind::kPacketDeliver:
       deliver_packet(ev.packet);
@@ -299,12 +296,7 @@ void Emulator::dispatch(Event& ev) {
     case EventKind::kReassemblyExpire:
       // Internal housekeeping; never reaches the sink. The entry may already
       // be gone (every surviving fragment was rejected by the device).
-      if (reassembly_.erase(ev.a)) {
-        ++stats_.reassembly_evicted;
-        if (trace::active())
-          trace::counters().reassembly_evicted.fetch_add(
-              1, std::memory_order_relaxed);
-      }
+      if (reassembly_.erase(ev.a)) ++stats_.reassembly_evicted;
       break;
     case EventKind::kTimer:
     case EventKind::kHandlerDone:

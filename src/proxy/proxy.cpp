@@ -6,7 +6,6 @@
 #include "common/fault.h"
 #include "common/hash.h"
 #include "common/log.h"
-#include "common/trace.h"
 
 namespace turret::proxy {
 
@@ -141,8 +140,6 @@ std::vector<netem::IngressInterceptor::Delivery> MaliciousProxy::on_send(
     audit_->append(std::move(rec));
   };
   ++stats_.observed;
-  if (trace::active())
-    trace::counters().proxy_observed.fetch_add(1, std::memory_order_relaxed);
   if (observer_ && observer_(src, dst, tag)) {
     // Injection-point capture: hold the message while the controller
     // snapshots; it re-enters interception on release.
@@ -157,8 +154,6 @@ std::vector<netem::IngressInterceptor::Delivery> MaliciousProxy::on_send(
   }
   fault::inject(fault::kProxyMutate);
   ++stats_.injected;
-  if (trace::active())
-    trace::counters().proxy_injected.fetch_add(1, std::memory_order_relaxed);
 
   switch (action_->kind) {
     case ActionKind::kDrop:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -39,6 +40,14 @@ class Testbed::Ctx final : public vm::GuestContext {
   void set_timer(std::uint64_t timer_id, Duration delay) override {
     auto& gen = tb_.timer_gen_[{m_.id(), timer_id}];
     ++gen;  // invalidates any previously armed instance
+    // The delay is guest input, like a send's destination: a negative one
+    // fires now, and one past the end of Time arms nothing. Both are counted;
+    // the emulator's own check stays for platform callers.
+    if (delay < 0 || delay > std::numeric_limits<Time>::max() - now()) {
+      tb_.metrics_.count("bad_timer_delay", now());
+      if (delay > 0) return;
+      delay = 0;
+    }
     tb_.emu_.schedule(delay, netem::EventKind::kTimer, m_.id(), timer_id, gen);
   }
 
@@ -326,8 +335,8 @@ Bytes Testbed::save_snapshot() {
     for (const auto& img : images_) {
       save_stats_.pages_total += static_cast<std::uint32_t>(img.page_count());
       save_stats_.dirty_pages += static_cast<std::uint32_t>(img.dirty_count());
-      save_stats_.cow_faults += img.cow_faults();
     }
+    save_stats_.cow_faults = cow_faults();
   }
 
   switch (mode) {
@@ -409,16 +418,16 @@ Bytes Testbed::save_snapshot() {
   save_stats_.bytes_deduped =
       static_cast<std::uint64_t>(save_stats_.pages_deduped) * vm::kPageSize;
   if (store_) save_stats_.store_pages = store_->stats().stored_pages;
-  if (trace::active()) {
-    trace::Counters& c = trace::counters();
-    c.snapshot_bytes_written.fetch_add(save_stats_.bytes_written,
-                                       std::memory_order_relaxed);
-    c.snapshot_bytes_deduped.fetch_add(save_stats_.bytes_deduped,
-                                       std::memory_order_relaxed);
-    c.pagestore_pages.store(save_stats_.store_pages,
-                            std::memory_order_relaxed);
-  }
+  trace::add(trace::Counter::snapshot_bytes_written, save_stats_.bytes_written);
+  trace::add(trace::Counter::snapshot_bytes_deduped, save_stats_.bytes_deduped);
+  trace::set_gauge(trace::Counter::pagestore_pages, save_stats_.store_pages);
   return blob;
+}
+
+std::uint64_t Testbed::cow_faults() const {
+  std::uint64_t n = 0;
+  for (const vm::MemoryImage& img : images_) n += img.cow_faults();
+  return n;
 }
 
 Digest128 Testbed::fleet_fingerprint(Time from_time, Time horizon) {

@@ -153,6 +153,10 @@ class Testbed final : public netem::MessageSink {
   /// Accounting for the most recent save_snapshot() call.
   const SnapshotSaveStats& last_save_stats() const { return save_stats_; }
 
+  /// Copy-on-write faults of the current memory images (zero after a load:
+  /// adopted images start counting afresh).
+  std::uint64_t cow_faults() const;
+
   /// Cow mode: the store pages referenced by the most recent save_snapshot()
   /// blob. A non-decoded blob references its pages only through the store,
   /// so callers that keep the blob across PageStore::evict_unreferenced()

@@ -167,7 +167,8 @@ SearchResult brute_force_search(const Scenario& sc, Journal* journal,
     });
     w.testbed->start();
     w.testbed->run_until(sc.duration);
-    exec.cost().execution += sc.duration;
+    exec.charge({.phase = trace::Counter::discover_ns,
+                 .execution = sc.duration});
     res.baseline_performance =
         measure_window(sc.metric, *w.testbed, sc.warmup, sc.warmup + sc.window)
             .value;
@@ -176,8 +177,6 @@ SearchResult brute_force_search(const Scenario& sc, Journal* journal,
           harvest_provenance(w, sc, "discover", 0, sc.duration, 0)));
     }
     if (trace::active()) {
-      trace::counters().discover_ns.fetch_add(
-          static_cast<std::uint64_t>(sc.duration), std::memory_order_relaxed);
       trace::Span("search", "discover")
           .at(0)
           .lasted(sc.duration)

@@ -159,7 +159,32 @@ BranchExecutor::BranchExecutor(const Scenario& sc) : sc_(sc) {
                    "Scenario::testbed.snapshot.store");
 }
 
-ScenarioWorld make_scenario_world(const Scenario& sc) {
+namespace {
+
+ScenarioWorld::Stats world_stats(const ScenarioWorld& w) {
+  return {w.testbed->emulator().stats(), w.proxy->stats(),
+          w.testbed->cow_faults()};
+}
+
+}  // namespace
+
+ScenarioWorld::~ScenarioWorld() {
+  if (!entry || testbed == nullptr || !trace::active()) return;
+  const Stats now = world_stats(*this);
+  trace::add(trace::Counter::emu_events,
+             now.emu.events_processed - entry->emu.events_processed);
+  trace::add(trace::Counter::reassembly_evicted,
+             now.emu.reassembly_evicted - entry->emu.reassembly_evicted);
+  trace::add(trace::Counter::proxy_observed,
+             now.proxy.observed - entry->proxy.observed);
+  trace::add(trace::Counter::proxy_injected,
+             now.proxy.injected - entry->proxy.injected);
+  trace::add(trace::Counter::cow_page_faults,
+             now.cow_faults - entry->cow_faults);
+}
+
+ScenarioWorld make_scenario_world(const Scenario& sc,
+                                  const runtime::DecodedSnapshot* snap) {
   ScenarioWorld w;
   w.testbed = std::make_unique<runtime::Testbed>(sc.testbed, sc.factory);
   w.proxy = std::make_unique<proxy::MaliciousProxy>(*sc.schema, sc.malicious,
@@ -168,6 +193,8 @@ ScenarioWorld make_scenario_world(const Scenario& sc) {
   if (sc.signed_adapter) w.proxy->set_signed_adapter(sc.signed_adapter.get());
   if (sc.testbed.net.capture.enabled)
     w.proxy->enable_audit(sc.testbed.net.capture.audit_capacity);
+  if (snap != nullptr) w.testbed->load_snapshot(*snap);
+  w.entry = world_stats(w);
   return w;
 }
 
@@ -250,17 +277,11 @@ const std::vector<BranchExecutor::InjectionPoint>& BranchExecutor::discover() {
                   format_time(w.testbed->now()).c_str());
       }
       fresh.clear();
-      ++cost_.saves;
-      cost_.snapshots += sc_.branch_cost.save_cost;
-      if (trace::active())
-        trace::counters().snapshot_saves.fetch_add(1,
-                                                   std::memory_order_relaxed);
+      charge({.phase = trace::Counter::discover_ns, .saves = 1});
     }
   }
-  cost_.execution += sc_.duration;
+  charge({.phase = trace::Counter::discover_ns, .execution = sc_.duration});
   if (trace::active()) {
-    trace::counters().discover_ns.fetch_add(
-        static_cast<std::uint64_t>(sc_.duration), std::memory_order_relaxed);
     trace::Span("search", "discover")
         .at(0)
         .lasted(sc_.duration)
@@ -296,11 +317,8 @@ const runtime::DecodedSnapshot& BranchExecutor::decoded(
       break;
     }
   }
-  if (trace::active()) {
-    (hit != nullptr ? trace::counters().decode_hits
-                    : trace::counters().decode_misses)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
+  trace::add(hit != nullptr ? trace::Counter::decode_hits
+                            : trace::Counter::decode_misses);
   if (hit == nullptr) {
     // Continuation chains produce a fresh blob per step; keep the cache from
     // growing without bound by dropping everything once it gets large (the
@@ -318,17 +336,12 @@ const runtime::DecodedSnapshot& BranchExecutor::decoded(
     c.push_back(std::move(e));
     ++decoded_cache_entries_;
     hit = &c.back();
-    if (c.size() > 1 && trace::active()) {
+    if (c.size() > 1) {
       // Two distinct blobs under one 128-bit digest: the byte-compare chain
       // backstop caught a hash collision. Surface it so silent weakening of
       // the digest would show up in --json stats.
-      trace::Counters& tc = trace::counters();
-      tc.hash_collisions.fetch_add(1, std::memory_order_relaxed);
-      std::uint64_t prev =
-          tc.hash_chain_max.load(std::memory_order_relaxed);
-      while (prev < c.size() && !tc.hash_chain_max.compare_exchange_weak(
-                                    prev, c.size(), std::memory_order_relaxed))
-        ;
+      trace::add(trace::Counter::hash_collisions);
+      trace::raise_gauge(trace::Counter::hash_chain_max, c.size());
     }
   }
   return *hit->snapshot;
@@ -414,8 +427,7 @@ auto BranchExecutor::contain(Time at, Fn&& attempt) const {
       c.error = e.what();
       c.runaway =
           dynamic_cast<const netem::BudgetExceededError*>(&e) != nullptr;
-      if (c.runaway && trace::active())
-        trace::counters().budget_aborts.fetch_add(1, std::memory_order_relaxed);
+      if (c.runaway) trace::add(trace::Counter::budget_aborts);
       if (runtime::classify_failure(e) ==
           runtime::FailureClass::kDeterministic) {
         return c;
@@ -449,9 +461,8 @@ Contained<const runtime::DecodedSnapshot*> BranchExecutor::try_decoded(
 ScenarioWorld BranchExecutor::enter(
     const runtime::DecodedSnapshot* snap,
     const proxy::MaliciousAction* action) const {
-  ScenarioWorld w = make_scenario_world(sc_);
+  ScenarioWorld w = make_scenario_world(sc_, snap);
   w.testbed->emulator().set_event_budget(sc_.fault.max_branch_events);
-  if (snap != nullptr) w.testbed->load_snapshot(*snap);
   if (action != nullptr) w.proxy->arm(*action);
   if (snap == nullptr) w.testbed->start();
   return w;
@@ -515,30 +526,37 @@ BranchExecutor::BranchResult BranchExecutor::attempt_branch(
   return r;
 }
 
-Duration BranchExecutor::charge(const InjectionPoint& ip,
-                                std::uint32_t attempts, int windows) {
+Duration BranchExecutor::charge(const Charge& c) {
+  const Duration snapshots =
+      static_cast<Duration>(c.loads) * sc_.branch_cost.load_cost +
+      static_cast<Duration>(c.saves) * sc_.branch_cost.save_cost;
+  cost_.execution += c.execution;
+  cost_.snapshots += snapshots;
+  cost_.branches += c.branches;
+  cost_.saves += c.saves;
+  cost_.loads += c.loads;
+  cost_.retries += c.retries;
+  // The mirror: telemetry totals equal SearchCost by construction (asserted
+  // under faults by test_fault_tolerance).
+  trace::add(c.phase, static_cast<std::uint64_t>(c.execution));
+  trace::add(trace::Counter::branch_attempts, c.branches);
+  trace::add(trace::Counter::branch_retries, c.retries);
+  trace::add(trace::Counter::snapshot_loads, c.loads);
+  trace::add(trace::Counter::snapshot_saves, c.saves);
+  return c.execution + snapshots;
+}
+
+Duration BranchExecutor::charge_branch(const InjectionPoint& ip,
+                                       std::uint32_t attempts, int windows) {
   const bool cold = ip.snapshot == nullptr;
   const Duration run =
       (cold ? ip.time : 0) + static_cast<Duration>(windows) * sc_.window;
-  const std::uint32_t loads = cold ? 0 : attempts;
-  cost_.branches += attempts;
-  cost_.loads += loads;
-  cost_.retries += attempts - 1;
-  cost_.snapshots += static_cast<Duration>(loads) * sc_.branch_cost.load_cost;
-  cost_.execution += static_cast<Duration>(attempts) * run;
-  if (trace::active()) {
-    // Mirrored at the exact cost-charging site so telemetry totals provably
-    // equal SearchCost (asserted under faults by test_fault_tolerance).
-    trace::Counters& c = trace::counters();
-    c.branch_attempts.fetch_add(attempts, std::memory_order_relaxed);
-    c.branch_retries.fetch_add(attempts - 1, std::memory_order_relaxed);
-    c.snapshot_loads.fetch_add(loads, std::memory_order_relaxed);
-    (windows == 1 ? c.evaluate_ns : c.classify_ns)
-        .fetch_add(static_cast<std::uint64_t>(attempts) * run,
-                   std::memory_order_relaxed);
-  }
-  return static_cast<Duration>(attempts) * run +
-         static_cast<Duration>(loads) * sc_.branch_cost.load_cost;
+  return charge({.phase = windows == 1 ? trace::Counter::evaluate_ns
+                                       : trace::Counter::classify_ns,
+                 .execution = static_cast<Duration>(attempts) * run,
+                 .branches = attempts,
+                 .retries = attempts - 1,
+                 .loads = cold ? 0 : attempts});
 }
 
 void BranchExecutor::record_failure(const InjectionPoint& ip,
@@ -553,9 +571,8 @@ void BranchExecutor::record_failure(const InjectionPoint& ip,
   f.attempts = r.attempts;
   f.error = r.error;
   TLOG_INFO("quarantined: %s", f.describe().c_str());
+  trace::add(trace::Counter::branch_quarantines);
   if (trace::active()) {
-    trace::counters().branch_quarantines.fetch_add(1,
-                                                   std::memory_order_relaxed);
     trace::instant("search", "quarantine", ip.time,
                    trace::Args()
                        .add("message", ip.message_name)
@@ -628,9 +645,8 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
       prune_table_.try_emplace(*out[i].fingerprint,
                                PruneEntry{key(i), without_provenance(out[i])});
     }
+    trace::add(trace::Counter::journal_replays);
     if (trace::active()) {
-      trace::counters().journal_replays.fetch_add(1,
-                                                  std::memory_order_relaxed);
       trace::instant("search", "journal-replay", ip.time,
                      trace::Args().add("key", key(i)).take());
     }
@@ -670,10 +686,8 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
           prune_table_.try_emplace(*digests[i], PruneEntry{key(i), {}}).second;
       (canonical ? run : followers).push_back(i);
     }
-    if (trace::active()) {
-      trace::counters().prune_table_entries.store(prune_table_.size(),
-                                                  std::memory_order_relaxed);
-    }
+    trace::set_gauge(trace::Counter::prune_table_entries,
+                     prune_table_.size());
   } else {
     run = live;
   }
@@ -696,15 +710,14 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
     out[i] = *e.result;
     out[i].pruned = true;
     out[i].equivalent_to = e.canonical_key;
+    trace::add(trace::Counter::branches_pruned);
+    const Duration skipped =
+        static_cast<Duration>(windows) * sc_.window - sc_.prune.settle;
+    if (skipped > 0) {
+      trace::add(trace::Counter::prune_skipped_ns,
+                 static_cast<std::uint64_t>(skipped));
+    }
     if (trace::active()) {
-      trace::Counters& c = trace::counters();
-      c.branches_pruned.fetch_add(1, std::memory_order_relaxed);
-      const Duration skipped =
-          static_cast<Duration>(windows) * sc_.window - sc_.prune.settle;
-      if (skipped > 0) {
-        c.prune_skipped_ns.fetch_add(static_cast<std::uint64_t>(skipped),
-                                     std::memory_order_relaxed);
-      }
       trace::instant("search", "prune", ip.time,
                      trace::Args()
                          .add("message", ip.message_name)
@@ -721,7 +734,7 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
   // Integer sums are order-independent, so serial and parallel runs account
   // the same cost.
   for (std::size_t i = 0; i < actions.size(); ++i) {
-    out[i].charged = charge(ip, out[i].attempts, windows);
+    out[i].charged = charge_branch(ip, out[i].attempts, windows);
     if (!out[i].ok()) record_failure(ip, actions[i], out[i]);
     if (provenance_ != nullptr) {
       if (out[i].ok() && out[i].outcome->provenance != nullptr)
@@ -764,9 +777,8 @@ void BranchExecutor::dispatch(
   } else {
     local = run;
   }
-  if (remote_ != nullptr && !local.empty() && trace::active()) {
-    trace::counters().dist_local_fallbacks.fetch_add(
-        local.size(), std::memory_order_relaxed);
+  if (remote_ != nullptr) {
+    trace::add(trace::Counter::dist_local_fallbacks, local.size());
   }
   std::vector<BranchResult> results =
       fan_out(pool_, local.size(), [&](std::size_t k) {
@@ -800,14 +812,11 @@ std::optional<Digest128> BranchExecutor::fingerprint_branch(
     h.update_i64(sc_.window);
     h.update_digest(w.testbed->fleet_fingerprint(ip.time, horizon));
     w.proxy->residual_fingerprint(h, horizon - t_s);
-    if (trace::active()) {
-      trace::Counters& c = trace::counters();
-      c.fingerprints.fetch_add(1, std::memory_order_relaxed);
-      // The settle run's length: a cold point settles from t = 0.
-      c.prune_settle_ns.fetch_add(
-          static_cast<std::uint64_t>(snap != nullptr ? sc_.prune.settle : t_s),
-          std::memory_order_relaxed);
-    }
+    trace::add(trace::Counter::fingerprints);
+    // The settle run's length: a cold point settles from t = 0.
+    trace::add(trace::Counter::prune_settle_ns,
+               static_cast<std::uint64_t>(snap != nullptr ? sc_.prune.settle
+                                                          : t_s));
     return h.digest();
   } catch (...) {
     // A failing settle run is deterministic; the branch simply executes live
@@ -820,13 +829,10 @@ void BranchExecutor::evict_unreferenced_pages() {
   const std::shared_ptr<vm::PageStore>& store = sc_.testbed.snapshot.store;
   if (store == nullptr) return;
   const std::size_t evicted = store->evict_unreferenced();
-  if (trace::active()) {
-    trace::Counters& c = trace::counters();
-    const vm::PageStoreStats s = store->stats();
-    c.pagestore_evicted.fetch_add(evicted, std::memory_order_relaxed);
-    c.pagestore_pages.store(s.stored_pages, std::memory_order_relaxed);
-    c.pagestore_bytes.store(s.stored_bytes(), std::memory_order_relaxed);
-  }
+  const vm::PageStoreStats s = store->stats();
+  trace::add(trace::Counter::pagestore_evicted, evicted);
+  trace::set_gauge(trace::Counter::pagestore_pages, s.stored_pages);
+  trace::set_gauge(trace::Counter::pagestore_bytes, s.stored_bytes());
 }
 
 BranchExecutor::BranchResult BranchExecutor::try_run_branch(
@@ -899,19 +905,12 @@ BranchExecutor::try_continue_branch(const InjectionPoint& ip,
   // continuation so resume replays (which re-execute continuations live)
   // account identically.
   const std::uint32_t attempts = next.attempts;
-  cost_.loads += attempts;
-  cost_.saves += attempts;
-  cost_.retries += attempts - 1;
-  cost_.snapshots += static_cast<Duration>(attempts) *
-                     (sc_.branch_cost.load_cost + sc_.branch_cost.save_cost);
-  cost_.execution += static_cast<Duration>(attempts) * dur;
+  charge({.phase = trace::Counter::advance_ns,
+          .execution = static_cast<Duration>(attempts) * dur,
+          .retries = attempts - 1,
+          .loads = attempts,
+          .saves = attempts});
   if (trace::active()) {
-    trace::Counters& c = trace::counters();
-    c.snapshot_loads.fetch_add(attempts, std::memory_order_relaxed);
-    c.snapshot_saves.fetch_add(attempts, std::memory_order_relaxed);
-    c.branch_retries.fetch_add(attempts - 1, std::memory_order_relaxed);
-    c.advance_ns.fetch_add(static_cast<std::uint64_t>(attempts) * dur,
-                           std::memory_order_relaxed);
     trace::Span("search", "advance")
         .at(ip.time)
         .lasted(dur)

@@ -16,6 +16,7 @@
 
 #include "common/hash.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "proxy/proxy.h"
 #include "search/report.h"
 #include "search/scenario.h"
@@ -92,14 +93,39 @@ WindowPerf measure_window(const MetricSpec& metric, const runtime::Testbed& tb,
 double compute_damage(const MetricSpec& metric, const WindowPerf& base,
                       const WindowPerf& perf);
 
-/// A freshly constructed testbed + proxy pair for one scenario, wired
-/// together (proxy installed on the emulator ingress path).
+/// A testbed + proxy pair for one scenario, wired together (proxy installed
+/// on the emulator ingress path).
+///
+/// A world feeds the trace counters for emulator events, proxy traffic and
+/// copy-on-write faults without a per-event hook: at teardown — an
+/// exception's unwind included, so a failed attempt counts what it ran — it
+/// adds the growth of its emulator, proxy and image stats since entry, the
+/// moment make_scenario_world returned.
 struct ScenarioWorld {
   std::unique_ptr<runtime::Testbed> testbed;
   std::unique_ptr<proxy::MaliciousProxy> proxy;
+
+  ScenarioWorld() = default;
+  ScenarioWorld(ScenarioWorld&&) = default;
+  ScenarioWorld& operator=(ScenarioWorld&&) = delete;
+  ~ScenarioWorld();
+
+  struct Stats {
+    netem::EmulatorStats emu;
+    proxy::ProxyStats proxy;
+    std::uint64_t cow_faults = 0;
+  };
+  /// The stats at entry. Unset until make_scenario_world returns, so a world
+  /// whose snapshot load threw executed nothing and adds nothing.
+  std::optional<Stats> entry;
 };
 
-ScenarioWorld make_scenario_world(const Scenario& sc);
+/// A world for `sc`: fresh, or restored from `snap` when one is given. The
+/// snapshot carries the stats of the run that saved it, so counting starts
+/// after the load; a snapshot loaded into the world later would be counted
+/// as the world's own execution.
+ScenarioWorld make_scenario_world(
+    const Scenario& sc, const runtime::DecodedSnapshot* snap = nullptr);
 
 /// What BranchExecutor's containment primitive returns: the attempt count
 /// plus either the attempt's value or the last error.
@@ -251,7 +277,24 @@ class BranchExecutor {
       const InjectionPoint& ip, const proxy::MaliciousAction* action,
       Duration dur);
 
-  SearchCost& cost() { return cost_; }
+  /// One charge to the search cost. Snapshot overhead follows from `loads`
+  /// and `saves` at the scenario's branch_cost.
+  struct Charge {
+    trace::Counter phase;  ///< the *_ns counter `execution` is mirrored into
+    Duration execution = 0;
+    std::uint64_t branches = 0;
+    std::uint64_t retries = 0;
+    std::uint64_t loads = 0;
+    std::uint64_t saves = 0;
+  };
+
+  /// The one writer of SearchCost and of the trace counters that mirror it
+  /// (branch_attempts, branch_retries, snapshot_loads, snapshot_saves and
+  /// the phase counters), so the two agree by construction. Returns the
+  /// virtual cost charged.
+  Duration charge(const Charge& c);
+
+  const SearchCost& cost() const { return cost_; }
   const Scenario& scenario() const { return sc_; }
 
   /// Quarantined branches in execution order (retry exhaustion or runaway
@@ -306,8 +349,8 @@ class BranchExecutor {
   /// Per attempt, a branch from a snapshot pays one load plus its windows; a
   /// cold point has nothing to load and re-runs from t = 0 through its
   /// windows.
-  Duration charge(const InjectionPoint& ip, std::uint32_t attempts,
-                  int windows);
+  Duration charge_branch(const InjectionPoint& ip, std::uint32_t attempts,
+                         int windows);
 
   /// The dispatch stage: executes the entries `run` (indices into `actions`)
   /// into `out` — on the remote backend when set_remote's conditions hold,

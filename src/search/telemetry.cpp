@@ -20,6 +20,12 @@ std::string num(double v) {
   return buf;
 }
 
+/// `"key":value` of one counter row.
+std::string member(const trace::CounterRow& row,
+                   const trace::CounterSnapshot& c) {
+  return "\"" + std::string(row.key) + "\":" + u64(c.*row.value);
+}
+
 }  // namespace
 
 double TelemetrySnapshot::branches_per_sec() const {
@@ -37,44 +43,22 @@ double TelemetrySnapshot::decode_hit_rate() const {
 }
 
 std::string TelemetrySnapshot::to_json() const {
-  const trace::CounterSnapshot& c = counters;
   std::string out = "{";
   out += "\"clock\":\"" + std::string(trace::clock_name(clock)) + "\"";
   out += ",\"branches_per_sec\":" + num(branches_per_sec());
   out += ",\"decode_hit_rate\":" + num(decode_hit_rate());
-  out += ",\"branch_attempts\":" + u64(c.branch_attempts);
-  out += ",\"retries\":" + u64(c.branch_retries);
-  out += ",\"quarantines\":" + u64(c.branch_quarantines);
-  out += ",\"budget_aborts\":" + u64(c.budget_aborts);
-  out += ",\"decode_hits\":" + u64(c.decode_hits);
-  out += ",\"decode_misses\":" + u64(c.decode_misses);
-  out += ",\"emu_events\":" + u64(c.emu_events);
-  out += ",\"reassembly_evicted\":" + u64(c.reassembly_evicted);
-  out += ",\"proxy_observed\":" + u64(c.proxy_observed);
-  out += ",\"proxy_injected\":" + u64(c.proxy_injected);
-  out += ",\"journal_replays\":" + u64(c.journal_replays);
-  out += ",\"snapshot_saves\":" + u64(c.snapshot_saves);
-  out += ",\"snapshot_loads\":" + u64(c.snapshot_loads);
-  out += ",\"snapshot_bytes_written\":" + u64(c.snapshot_bytes_written);
-  out += ",\"snapshot_bytes_deduped\":" + u64(c.snapshot_bytes_deduped);
-  out += ",\"cow_page_faults\":" + u64(c.cow_page_faults);
-  out += ",\"pagestore_pages\":" + u64(c.pagestore_pages);
-  out += ",\"pagestore_bytes\":" + u64(c.pagestore_bytes);
-  out += ",\"pagestore_evicted\":" + u64(c.pagestore_evicted);
-  out += ",\"branches_pruned\":" + u64(c.branches_pruned);
-  out += ",\"prune_table_entries\":" + u64(c.prune_table_entries);
-  out += ",\"fingerprints\":" + u64(c.fingerprints);
-  out += ",\"prune_settle_ns\":" + u64(c.prune_settle_ns);
-  out += ",\"prune_skipped_ns\":" + u64(c.prune_skipped_ns);
-  out += ",\"hash_collisions\":" + u64(c.hash_collisions);
-  out += ",\"hash_chain_max\":" + u64(c.hash_chain_max);
-  out += ",\"phase_ns\":{";
-  out += "\"discover\":" + u64(c.discover_ns);
-  out += ",\"evaluate\":" + u64(c.evaluate_ns);
-  out += ",\"classify\":" + u64(c.classify_ns);
-  out += ",\"advance\":" + u64(c.advance_ns);
-  out += "}";
-  out += ",\"dropped_trace_events\":" + u64(c.dropped_events);
+  // The phase rows are contiguous in the table; they print as one nested
+  // "phase_ns" object at their place in the order.
+  bool in_phase = false;
+  for (const trace::CounterRow& row : trace::kCounterRows) {
+    if (row.block == trace::Block::kFleet) continue;
+    const bool phase = row.block == trace::Block::kPhase;
+    if (in_phase && !phase) out += "}";
+    out += phase && !in_phase ? ",\"phase_ns\":{" : ",";
+    in_phase = phase;
+    out += member(row, counters);
+  }
+  if (in_phase) out += "}";
   if (clock == trace::Clock::kWall) {
     // Wall duration is inherently run-dependent; keeping it out of virtual
     // mode preserves byte-identical stats blocks across runs and --jobs.
@@ -85,34 +69,23 @@ std::string TelemetrySnapshot::to_json() const {
 }
 
 std::string TelemetrySnapshot::fleet_json() const {
-  const trace::CounterSnapshot& c = counters;
   std::string out = "{";
   out += "\"workers\":" + u64(workers);
   // The dist transport counters live here, not in the stats block: bytes and
   // unit flow depend on how many workers the fleet happens to have, so they
   // can never be byte-identical across 0..N workers the way the core is.
-  out += ",\"dist_units_sent\":" + u64(c.dist_units_sent);
-  out += ",\"dist_units_merged\":" + u64(c.dist_units_merged);
-  out += ",\"dist_reassignments\":" + u64(c.dist_reassignments);
-  out += ",\"dist_worker_deaths\":" + u64(c.dist_worker_deaths);
-  out += ",\"dist_heartbeats\":" + u64(c.dist_heartbeats);
-  out += ",\"dist_local_fallbacks\":" + u64(c.dist_local_fallbacks);
-  out += ",\"dist_bytes_sent\":" + u64(c.dist_bytes_sent);
-  out += ",\"dist_bytes_recv\":" + u64(c.dist_bytes_recv);
+  for (const trace::CounterRow& row : trace::kCounterRows) {
+    if (row.block == trace::Block::kFleet) out += "," + member(row, counters);
+  }
   out += ",\"per_worker\":[";
   for (std::size_t i = 0; i < per_worker.size(); ++i) {
     const WorkerTelemetry& w = per_worker[i];
     if (i) out += ",";
     out += "{\"worker\":" + u64(w.worker);
     out += ",\"units\":" + u64(w.units);
-    out += ",\"emu_events\":" + u64(w.counters.emu_events);
-    out += ",\"reassembly_evicted\":" + u64(w.counters.reassembly_evicted);
-    out += ",\"proxy_observed\":" + u64(w.counters.proxy_observed);
-    out += ",\"proxy_injected\":" + u64(w.counters.proxy_injected);
-    out += ",\"budget_aborts\":" + u64(w.counters.budget_aborts);
-    out += ",\"cow_page_faults\":" + u64(w.counters.cow_page_faults);
-    out += ",\"dist_bytes_sent\":" + u64(w.counters.dist_bytes_sent);
-    out += ",\"dist_bytes_recv\":" + u64(w.counters.dist_bytes_recv);
+    for (const trace::CounterRow& row : trace::kCounterRows) {
+      if (row.execution_site) out += "," + member(row, w.counters);
+    }
     out += "}";
   }
   out += "]}";

@@ -1,9 +1,10 @@
 // Aggregate search telemetry: the trace counters folded into the stats block
 // appended to turret-run --json reports.
 //
-// Everything in the block is derived from trace::Counters, which are bumped
-// at the exact program points that charge SearchCost — so the block's retry
-// and quarantine totals provably equal the SearchResult they accompany
+// Everything in the block is derived from trace::Counters; its keys and their
+// order come from the counter table (TURRET_COUNTERS). The counters that
+// mirror SearchCost are charged by the call that charges it, so the block's
+// retry and quarantine totals provably equal the SearchResult they accompany
 // (test_fault_tolerance asserts this under injected faults). Derived rates
 // use emulator *virtual* time, so the block is byte-identical across --jobs
 // values and repeated same-seed runs; wall-clock duration is reported only
@@ -43,16 +44,17 @@ struct TelemetrySnapshot {
   /// DecodedSnapshot cache hit rate in [0,1] (0 when the cache was untouched).
   double decode_hit_rate() const;
 
-  /// The stats block: one JSON object, keys in fixed order. Deterministic
+  /// The stats block: one JSON object, counter keys in table order (the
+  /// phase rows nested as "phase_ns"). Deterministic
   /// core only — same-seed blocks are byte-identical across --jobs, prune
   /// settings, and 0..N forked workers (worker execution deltas merge into
   /// the same totals an in-process run bumps directly).
   std::string to_json() const;
 
-  /// The fleet block: worker count, dist transport counters (including the
-  /// dist_* activity that used to hide inside the coordinator-only stats
-  /// block and now covers worker-side bytes too), and the per_worker[]
-  /// breakdown. Shape-dependent by construction, hence a separate block.
+  /// The fleet block: worker count, the fleet rows (dist transport counters,
+  /// worker-side bytes included), and the per_worker[] breakdown of units
+  /// and execution-site rows. Shape-dependent by construction, hence a
+  /// separate block.
   std::string fleet_json() const;
 };
 

@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/rng.h"
-#include "common/trace.h"
 
 namespace turret::vm {
 namespace {
@@ -119,10 +118,6 @@ std::uint8_t* MemoryImage::writable_page(std::size_t pfn) {
     local.assign(base_->pages[pfn]->bytes.begin(),
                  base_->pages[pfn]->bytes.end());
     ++cow_faults_;
-    if (trace::active()) {
-      trace::counters().cow_page_faults.fetch_add(1,
-                                                  std::memory_order_relaxed);
-    }
   }
   return local.data();
 }

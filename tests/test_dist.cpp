@@ -226,6 +226,22 @@ TEST(DistProtocol, MessagesRoundTrip) {
   EXPECT_EQ(work2.pages[0].content, d.content);
 }
 
+TEST(DistProtocol, ResultMsgRoundTripsATelemetryDelta) {
+  dist::ResultMsg res;
+  res.unit = 11;
+  res.result = {9, 8, 7};
+  res.has_telemetry = true;
+  std::uint64_t v = 1;
+  for (const trace::CounterRow& row : trace::kCounterRows)
+    res.telemetry.*row.value = v++ * 0x0101010101ull;
+  const dist::ResultMsg back = dist::ResultMsg::decode(res.encode());
+  EXPECT_EQ(back.unit, 11u);
+  EXPECT_EQ(back.result, res.result);
+  ASSERT_TRUE(back.has_telemetry);
+  for (const trace::CounterRow& row : trace::kCounterRows)
+    EXPECT_EQ(back.telemetry.*row.value, res.telemetry.*row.value) << row.name;
+}
+
 TEST(DistProtocol, WorkMsgRejectsWrongPageSize) {
   dist::WorkMsg work;
   work.has_blob = true;
@@ -286,13 +302,13 @@ TEST(DistInProcess, NoWorkersDegradesToLocal) {
 
   trace::ScopedTrace t(trace::Clock::kVirtual);
   const std::uint64_t fallbacks_before =
-      trace::counters().dist_local_fallbacks.load(std::memory_order_relaxed);
+      trace::counters().get(trace::Counter::dist_local_fallbacks);
   dist::Coordinator coord(sc, {});  // nobody will ever connect
   const SearchResult res =
       weighted_greedy_search(sc, {}, nullptr, nullptr, nullptr, &coord);
   EXPECT_EQ(res.to_json(), ref);
   EXPECT_GT(
-      trace::counters().dist_local_fallbacks.load(std::memory_order_relaxed),
+      trace::counters().get(trace::Counter::dist_local_fallbacks),
       fallbacks_before)
       << "every branch should have degraded to the local pool";
 }
@@ -303,9 +319,9 @@ TEST(DistInProcess, ThreadChaosStaysByteIdentical) {
 
   trace::ScopedTrace t(trace::Clock::kVirtual);
   const std::uint64_t deaths_before =
-      trace::counters().dist_worker_deaths.load(std::memory_order_relaxed);
+      trace::counters().get(trace::Counter::dist_worker_deaths);
   const std::uint64_t reassign_before =
-      trace::counters().dist_reassignments.load(std::memory_order_relaxed);
+      trace::counters().get(trace::Counter::dist_reassignments);
 
   // One worker dies starting its 3rd unit; somewhere around the 40th
   // transport read a recv fault tears a connection. (The sites are global to
@@ -335,10 +351,10 @@ TEST(DistInProcess, ThreadChaosStaysByteIdentical) {
   EXPECT_EQ(res.to_json(), ref)
       << "worker death / transport faults changed the SearchResult";
   EXPECT_GE(
-      trace::counters().dist_worker_deaths.load(std::memory_order_relaxed),
+      trace::counters().get(trace::Counter::dist_worker_deaths),
       deaths_before + 1);
   EXPECT_GE(
-      trace::counters().dist_reassignments.load(std::memory_order_relaxed),
+      trace::counters().get(trace::Counter::dist_reassignments),
       reassign_before + 1)
       << "the died-mid-unit lease should have been reassigned";
 }
@@ -352,7 +368,7 @@ TEST(DistInProcess, PruneOnThreadWorkersMatchesPruneOffInProcess) {
 
   trace::ScopedTrace t(trace::Clock::kVirtual);
   const std::uint64_t sent_before =
-      trace::counters().dist_units_sent.load(std::memory_order_relaxed);
+      trace::counters().get(trace::Counter::dist_units_sent);
   dist::Coordinator coord(sc, {});
   dist::WorkerOptions wopt;
   wopt.exit_process_on_fault = false;  // thread mode
@@ -371,7 +387,7 @@ TEST(DistInProcess, PruneOnThreadWorkersMatchesPruneOffInProcess) {
   for (std::thread& w : workers) w.join();
 
   EXPECT_EQ(res.to_json(), ref);
-  EXPECT_GT(trace::counters().dist_units_sent.load(std::memory_order_relaxed),
+  EXPECT_GT(trace::counters().get(trace::Counter::dist_units_sent),
             sent_before)
       << "prune must not force local execution";
 }
@@ -403,7 +419,7 @@ TEST(DistSearch, CowPagesShipAcrossProcesses) {
 
   trace::ScopedTrace t(trace::Clock::kVirtual);
   const std::uint64_t sent_before =
-      trace::counters().dist_units_sent.load(std::memory_order_relaxed);
+      trace::counters().get(trace::Counter::dist_units_sent);
   dist::Coordinator coord(sc, {});
   dist::WorkerOptions wopt;
   wopt.seed = 7;
@@ -414,7 +430,7 @@ TEST(DistSearch, CowPagesShipAcrossProcesses) {
   coord.shutdown();
   EXPECT_EQ(res.to_json(), ref)
       << "cow-mode remote execution diverged from in-process";
-  EXPECT_GT(trace::counters().dist_units_sent.load(std::memory_order_relaxed),
+  EXPECT_GT(trace::counters().get(trace::Counter::dist_units_sent),
             sent_before)
       << "nothing was actually shipped; the parity check would be vacuous";
 }
@@ -426,7 +442,7 @@ TEST(DistSearch, PruneOnForkedWorkersMatchesPruneOffInProcess) {
 
   trace::ScopedTrace t(trace::Clock::kVirtual);
   const std::uint64_t sent_before =
-      trace::counters().dist_units_sent.load(std::memory_order_relaxed);
+      trace::counters().get(trace::Counter::dist_units_sent);
   dist::Coordinator coord(sc, {});
   dist::WorkerOptions wopt;
   wopt.seed = 7;
@@ -437,7 +453,7 @@ TEST(DistSearch, PruneOnForkedWorkersMatchesPruneOffInProcess) {
   coord.shutdown();
   EXPECT_EQ(res.to_json(), ref)
       << "prune on with workers diverged from prune off in-process";
-  EXPECT_GT(trace::counters().dist_units_sent.load(std::memory_order_relaxed),
+  EXPECT_GT(trace::counters().get(trace::Counter::dist_units_sent),
             sent_before)
       << "canonical branches never ran remotely";
 }
@@ -451,9 +467,9 @@ TEST(DistChaos, FaultInjectedCrashesStayByteIdentical) {
 
   trace::ScopedTrace t(trace::Clock::kVirtual);
   const std::uint64_t deaths_before =
-      trace::counters().dist_worker_deaths.load(std::memory_order_relaxed);
+      trace::counters().get(trace::Counter::dist_worker_deaths);
   const std::uint64_t reassign_before =
-      trace::counters().dist_reassignments.load(std::memory_order_relaxed);
+      trace::counters().get(trace::Counter::dist_reassignments);
 
   dist::Coordinator coord(sc, {});
   // Worker 1 _exit(9)s at its 3rd unit — a deterministic SIGKILL mid-batch.
@@ -474,10 +490,10 @@ TEST(DistChaos, FaultInjectedCrashesStayByteIdentical) {
   EXPECT_EQ(res.to_json(), ref)
       << "worker crash / transport fault changed the SearchResult";
   EXPECT_GE(
-      trace::counters().dist_worker_deaths.load(std::memory_order_relaxed),
+      trace::counters().get(trace::Counter::dist_worker_deaths),
       deaths_before + 1);
   EXPECT_GE(
-      trace::counters().dist_reassignments.load(std::memory_order_relaxed),
+      trace::counters().get(trace::Counter::dist_reassignments),
       reassign_before + 1)
       << "the crashed worker's lease should have been reassigned";
 }
@@ -488,9 +504,9 @@ TEST(DistChaos, RealSigkillMidSearchStaysByteIdentical) {
 
   trace::ScopedTrace t(trace::Clock::kVirtual);
   const std::uint64_t merged_before =
-      trace::counters().dist_units_merged.load(std::memory_order_relaxed);
+      trace::counters().get(trace::Counter::dist_units_merged);
   const std::uint64_t deaths_before =
-      trace::counters().dist_worker_deaths.load(std::memory_order_relaxed);
+      trace::counters().get(trace::Counter::dist_worker_deaths);
 
   dist::Coordinator coord(sc, {});
   dist::WorkerOptions wopt;
@@ -504,8 +520,8 @@ TEST(DistChaos, RealSigkillMidSearchStaysByteIdentical) {
   std::atomic<bool> stop{false};
   std::thread killer([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      if (trace::counters().dist_units_merged.load(
-              std::memory_order_relaxed) > merged_before) {
+      if (trace::counters().get(trace::Counter::dist_units_merged) >
+          merged_before) {
         ::kill(victim, SIGKILL);
         return;
       }
@@ -520,7 +536,7 @@ TEST(DistChaos, RealSigkillMidSearchStaysByteIdentical) {
 
   EXPECT_EQ(res.to_json(), ref) << "SIGKILL changed the SearchResult";
   EXPECT_GE(
-      trace::counters().dist_worker_deaths.load(std::memory_order_relaxed),
+      trace::counters().get(trace::Counter::dist_worker_deaths),
       deaths_before + 1)
       << "the coordinator never noticed the SIGKILL";
 }
@@ -598,7 +614,7 @@ std::string stats_json(const Scenario& sc, unsigned jobs, unsigned workers) {
     out = search::capture_telemetry().to_json();
     // Otherwise the comparison is vacuous: the branches must really have run
     // on the workers, prune on or off.
-    EXPECT_GT(trace::counters().dist_units_sent.load(std::memory_order_relaxed),
+    EXPECT_GT(trace::counters().get(trace::Counter::dist_units_sent),
               0u)
         << "no unit was shipped to a worker";
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -103,6 +104,28 @@ struct InvariantServer final : vm::GuestNode {
   std::string_view kind() const override { return "invariant-server"; }
 };
 
+/// Server that hands the platform timer delays no platform caller would: on
+/// every Work it arms timer 1 with a negative delay and timer 2 with one past
+/// the end of Time (a guest trusting a lied timeout could do either). Timer 1
+/// must fire at once; timer 2 must never fire.
+struct TimerServer final : vm::GuestNode {
+  void start(vm::GuestContext&) override {}
+  void on_message(vm::GuestContext& ctx, NodeId src, BytesView m) override {
+    wire::MessageReader r(m);
+    if (r.tag() != 1) return;
+    const std::uint64_t seq = r.u64();
+    ctx.set_timer(1, -5 * kMillisecond);
+    ctx.set_timer(2, std::numeric_limits<Duration>::max());
+    ctx.send(src, wire::MessageWriter(2).u64(seq).take());
+  }
+  void on_timer(vm::GuestContext& ctx, std::uint64_t id) override {
+    ctx.count(id == 1 ? "early" : "late");
+  }
+  void save(serial::Writer&) const override {}
+  void load(serial::Reader&) override {}
+  std::string_view kind() const override { return "timer-server"; }
+};
+
 struct ToyClient final : vm::GuestNode {
   std::uint64_t seq = 0;
   void start(vm::GuestContext& ctx) override {
@@ -121,7 +144,7 @@ struct ToyClient final : vm::GuestNode {
   std::string_view kind() const override { return "toy-client"; }
 };
 
-enum class Server { kToy, kBomb, kInvariant };
+enum class Server { kToy, kBomb, kInvariant, kTimer };
 
 Scenario toy_scenario(Server server = Server::kToy) {
   Scenario sc;
@@ -134,6 +157,7 @@ Scenario toy_scenario(Server server = Server::kToy) {
     if (server == Server::kBomb) return std::make_unique<BombServer>();
     if (server == Server::kInvariant)
       return std::make_unique<InvariantServer>();
+    if (server == Server::kTimer) return std::make_unique<TimerServer>();
     return std::make_unique<ToyServer>();
   };
   sc.malicious = {0};
@@ -474,6 +498,33 @@ TEST(Containment, ContinuationRetriesATransientLoadFault) {
             2 * (sc.branch_cost.load_cost + sc.branch_cost.save_cost));
   EXPECT_EQ(c.execution - before.execution, 2 * sc.window);
   EXPECT_TRUE(exec.failed().empty());
+}
+
+// A timer delay is guest input: a negative one fires now and one past the end
+// of Time arms nothing, each counted as bad_timer_delay, where they used to
+// trip the emulator's delay check (negative) or overflow now + delay.
+TEST(Containment, OutOfRangeGuestTimerDelaysNeverTripAPlatformCheck) {
+  Scenario sc = toy_scenario(Server::kTimer);
+  sc.metric.name = "early";
+  set_default_jobs(1);
+  BranchExecutor exec(sc);
+  const auto& points = exec.discover();
+  ASSERT_FALSE(points.empty());
+  const auto r = exec.try_run_branch(points[0], nullptr, 1);
+  set_default_jobs(0);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_TRUE(exec.failed().empty());
+  EXPECT_GT(r.outcome->windows[0].samples, 0u)
+      << "the negative-delay timer never fired";
+
+  ScenarioWorld w = make_scenario_world(sc);
+  w.testbed->start();
+  w.testbed->run_until(sc.duration);
+  const runtime::MetricsCollector& m = w.testbed->metrics();
+  const double early = m.total("early", 0, sc.duration);
+  EXPECT_GT(early, 0);
+  EXPECT_EQ(m.total("late", 0, sc.duration), 0);
+  EXPECT_EQ(m.total("bad_timer_delay", 0, sc.duration), 2 * early);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 // Trace/telemetry layer: disarmed no-op, virtual-mode determinism (content
 // sort, tid normalization, push-order independence), counter snapshots,
-// buffer overflow accounting, Chrome JSON shape, stats-block splicing.
+// buffer overflow accounting, Chrome JSON shape, stats-block splicing, and
+// the counter table every counter list is generated from.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "search/telemetry.h"
+#include "serial/serial.h"
 
 namespace turret {
 namespace {
@@ -34,7 +37,7 @@ TEST(Trace, EnableResetsEventsAndCounters) {
   {
     ScopedTrace t(Clock::kVirtual);
     trace::instant("test", "a", kSecond);
-    trace::counters().branch_attempts.fetch_add(7, std::memory_order_relaxed);
+    trace::add(trace::Counter::branch_attempts, 7);
   }
   EXPECT_EQ(Tracer::instance().events().size(), 1u);
   ScopedTrace t(Clock::kVirtual);
@@ -138,8 +141,8 @@ TEST(Trace, ChromeJsonEscapesArgStrings) {
 
 TEST(Trace, ChromeJsonCarriesCounterSamples) {
   ScopedTrace t(Clock::kVirtual);
-  trace::counters().decode_hits.fetch_add(5, std::memory_order_relaxed);
-  trace::counters().decode_misses.fetch_add(2, std::memory_order_relaxed);
+  trace::add(trace::Counter::decode_hits, 5);
+  trace::add(trace::Counter::decode_misses, 2);
   const std::string json = Tracer::instance().chrome_json();
   EXPECT_NE(json.find("{\"name\":\"decode_hits\",\"cat\":\"counter\",\"ph\":"
                       "\"C\",\"pid\":1,\"tid\":0,\"ts\":0,\"args\":{\"value\":"
@@ -181,6 +184,110 @@ TEST(Telemetry, AppendStatsSplicesIntoReportJson) {
   EXPECT_EQ(spliced.find("{\"algorithm\":\"x\",\"stats\":{"), 0u);
   EXPECT_EQ(spliced.back(), '}');
   EXPECT_NE(spliced.find("\"branch_attempts\":9"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The counter table: every output that lists counters covers each row once
+// ---------------------------------------------------------------------------
+
+std::size_t occurrences(const std::string& haystack,
+                        const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+/// A snapshot whose i-th row holds 1000 + i, so every value names its row.
+trace::CounterSnapshot numbered_snapshot() {
+  trace::CounterSnapshot s;
+  std::uint64_t v = 1000;
+  for (const trace::CounterRow& row : trace::kCounterRows) s.*row.value = v++;
+  return s;
+}
+
+TEST(CounterTable, EveryRowAppearsOnceAcrossTheStatsAndFleetBlocks) {
+  search::TelemetrySnapshot t;
+  t.counters = numbered_snapshot();
+  const std::string stats = t.to_json();
+  const std::string fleet = t.fleet_json();
+  const std::string blocks =
+      stats + fleet.substr(0, fleet.find("\"per_worker\""));
+  for (const trace::CounterRow& row : trace::kCounterRows) {
+    const std::string key = std::string("\"") + row.key + "\":";
+    EXPECT_EQ(occurrences(blocks, key), 1u) << row.name;
+    const std::string member = key + std::to_string(t.counters.*row.value);
+    const std::string& home = row.block == trace::Block::kFleet ? fleet : stats;
+    EXPECT_EQ(occurrences(home, member), 1u) << row.name;
+  }
+  // The phase rows nest under one "phase_ns" object.
+  EXPECT_EQ(occurrences(stats, "\"phase_ns\":{"), 1u);
+}
+
+TEST(CounterTable, EveryRowIsOneChromeCounterSample) {
+  ScopedTrace t(Clock::kVirtual);
+  const trace::CounterSnapshot want = numbered_snapshot();
+  for (const trace::CounterRow& row : trace::kCounterRows)
+    trace::add(row.id, want.*row.value);
+  const std::string json = Tracer::instance().chrome_json();
+  EXPECT_EQ(occurrences(json, "\"ph\":\"C\""),
+            std::size(trace::kCounterRows));
+  for (const trace::CounterRow& row : trace::kCounterRows) {
+    const std::string sample =
+        std::string("{\"name\":\"") + row.name +
+        "\",\"cat\":\"counter\",\"ph\":\"C\",\"pid\":1,\"tid\":0,"
+        "\"ts\":0,\"args\":{\"value\":" +
+        std::to_string(want.*row.value) + "}}";
+    EXPECT_EQ(occurrences(json, sample), 1u) << row.name;
+  }
+}
+
+TEST(CounterTable, PerWorkerListsExactlyTheExecutionSiteRows) {
+  search::TelemetrySnapshot t;
+  search::WorkerTelemetry w;
+  w.worker = 3;
+  w.units = 5;
+  w.counters = numbered_snapshot();
+  t.per_worker.push_back(w);
+  std::string want = "\"per_worker\":[{\"worker\":3,\"units\":5";
+  std::size_t sites = 0;
+  for (const trace::CounterRow& row : trace::kCounterRows) {
+    if (!row.execution_site) continue;
+    ++sites;
+    want += std::string(",\"") + row.key +
+            "\":" + std::to_string(w.counters.*row.value);
+  }
+  want += "}]}";
+  const std::string fleet = t.fleet_json();
+  ASSERT_NE(fleet.find("\"per_worker\":["), std::string::npos);
+  EXPECT_EQ(fleet.substr(fleet.find("\"per_worker\":[")), want);
+  // budget_aborts, emu_events, reassembly_evicted, proxy_observed,
+  // proxy_injected, cow_page_faults, dist_bytes_sent, dist_bytes_recv.
+  EXPECT_EQ(sites, 8u);
+}
+
+// The dist wire format of a counter snapshot: a u32 row count, then one u64
+// per row in table order. Adding a row changes it, and with it the protocol.
+TEST(CounterTable, WireEncodingIsTheRowCountThenOneU64PerRow) {
+  trace::CounterSnapshot s;
+  std::uint64_t v = 1;
+  for (const trace::CounterRow& row : trace::kCounterRows) s.*row.value = v++;
+  serial::Writer got;
+  trace::save_counters(s, got);
+  serial::Writer want;
+  want.u32(39);
+  for (std::uint64_t i = 1; i <= 39; ++i) want.u64(i);
+  const Bytes bytes = got.take();
+  EXPECT_EQ(bytes, want.take());
+  EXPECT_EQ(bytes.size(), 4u + 39u * 8u);
+
+  serial::Reader r(bytes);
+  const trace::CounterSnapshot back = trace::load_counters(r);
+  EXPECT_TRUE(r.exhausted());
+  for (const trace::CounterRow& row : trace::kCounterRows)
+    EXPECT_EQ(back.*row.value, s.*row.value) << row.name;
 }
 
 }  // namespace
