@@ -4,14 +4,13 @@
 // with drop (p = 1) into one "suppressed" equivalence class, the way a real
 // exploration sweep over timeout-crossing delays would.
 //
-// For each algorithm the scenario runs with --prune off then on (fresh page
-// store each run) and reports wall clock, executed-branches/sec, the pruned
-// fraction, and whether the SearchResults are identical (they must be:
-// pruning is a wall-clock optimization only). JSON, one object per line.
+// For each algorithm the scenario runs with --prune off then on and reports
+// wall clock, executed-branches/sec, the pruned fraction, and whether the
+// SearchResults are identical (they must be: pruning is a wall-clock
+// optimization only). JSON, one object per line.
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <thread>
 
 #include "common/thread_pool.h"
@@ -19,7 +18,6 @@
 #include "search/algorithms.h"
 #include "search/telemetry.h"
 #include "systems/pbft/pbft_scenario.h"
-#include "vm/pagestore.h"
 
 namespace {
 
@@ -60,8 +58,6 @@ search::Scenario scenario(const wire::Schema& schema, bool prune) {
   sc.actions.divert = false;
   sc.actions.lie_random = false;
   sc.actions.relative_operands = {1000};
-  sc.testbed.snapshot.mode = vm::SnapshotMode::kCow;
-  sc.testbed.snapshot.store = std::make_shared<vm::PageStore>();
   sc.prune.enabled = prune;
   return sc;
 }

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Runs the search-layer benchmark suite and writes a single machine-readable
-# summary, BENCH_search.json, at the repository root (schema_version 6,
+# summary, BENCH_search.json, at the repository root (schema_version 7,
 # documented in EXPERIMENTS.md). bench_parallel_search, bench_prune_search,
 # bench_dist_search and bench_capacity run at full length — the scaling,
 # pruning, distributed and tail-capacity results the summary exists for —
 # the fig4 microbench runs in
-# quick mode (short min-time), and the table/branch benches emit structured
+# quick mode (short min-time), and the table benches emit structured
 # JSON via their --json flags.
 #
 # Usage: scripts/bench_all.sh [build-dir]   (default: build)
@@ -18,7 +18,7 @@ QUICK_MIN_TIME="${TURRET_BENCH_MIN_TIME:-0.05}"
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
   bench_parallel_search bench_prune_search bench_dist_search \
   bench_capacity bench_fig4_netdevice bench_emulator bench_table2_snapshot \
-  bench_table3_search bench_branch_snapshot >/dev/null
+  bench_table3_search >/dev/null
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
@@ -47,11 +47,10 @@ trap 'rm -rf "$TMP"' EXIT
 # (single JSON object; the ratio gate runs in CI, not here).
 "$BUILD_DIR/bench/bench_emulator" >"$TMP/emulator.json"
 
-# Table reproductions and the branch-snapshot mode comparison: structured
-# JSON (schema_version 2 replaced the old raw_text blocks).
+# Table reproductions: structured JSON (schema_version 2 replaced the old
+# raw_text blocks).
 "$BUILD_DIR/bench/bench_table2_snapshot" --json >"$TMP/table2_snapshot.json"
 "$BUILD_DIR/bench/bench_table3_search" --json >"$TMP/table3_search.json"
-"$BUILD_DIR/bench/bench_branch_snapshot" --json >"$TMP/branch_snapshot.json"
 
 python3 - "$TMP" <<'EOF'
 import json, sys, os
@@ -87,7 +86,7 @@ fig4_trimmed = {
 }
 
 out = {
-    "schema_version": 6,
+    "schema_version": 7,
     "emulator": load("emulator.json"),
     "capacity": load("capacity.json"),
     "parallel_search": parallel,
@@ -97,7 +96,6 @@ out = {
         "fig4_netdevice": fig4_trimmed,
         "table2_snapshot": load("table2_snapshot.json"),
         "table3_search": load("table3_search.json"),
-        "branch_snapshot": load("branch_snapshot.json"),
     },
 }
 with open("BENCH_search.json", "w") as f:

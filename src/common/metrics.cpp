@@ -19,45 +19,4 @@ double quantile_value(const Histogram& h, double q) {
   return from_fixed(h.quantile(q));
 }
 
-Histogram& MetricRegistry::histogram(std::string_view name) {
-  auto it = hists_.find(name);
-  if (it == hists_.end()) it = hists_.emplace(std::string(name), Histogram{}).first;
-  return it->second;
-}
-
-const Histogram* MetricRegistry::find(std::string_view name) const {
-  auto it = hists_.find(name);
-  return it == hists_.end() ? nullptr : &it->second;
-}
-
-void MetricRegistry::merge(const MetricRegistry& other) {
-  for (const auto& [name, h] : other.hists_) histogram(name).merge(h);
-}
-
-std::vector<std::string> MetricRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(hists_.size());
-  for (const auto& [name, _] : hists_) out.push_back(name);
-  return out;
-}
-
-void MetricRegistry::save(serial::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(hists_.size()));
-  for (const auto& [name, h] : hists_) {
-    w.str(name);
-    h.save(w);
-  }
-}
-
-void MetricRegistry::load(serial::Reader& r) {
-  hists_.clear();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name = r.str();
-    Histogram h;
-    h.load(r);
-    hists_.emplace(std::move(name), h);
-  }
-}
-
 }  // namespace turret::metrics

@@ -1,5 +1,5 @@
-// Deterministic percentile metrics: fixed-bucket log2 histograms and a
-// named-histogram registry (DESIGN.md §5i).
+// Deterministic percentile metrics: fixed-bucket log2 histograms
+// (DESIGN.md §5i).
 //
 // The platform's determinism contract extends to every reported number, so
 // quantiles cannot come from sampling sketches or merge-order-sensitive
@@ -20,10 +20,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "serial/serial.h"
 
@@ -96,7 +92,7 @@ struct BasicHistogram {
   bool operator==(const BasicHistogram&) const = default;
 };
 
-/// The default registry histogram: 64 buckets cover the full u64 range, so
+/// The metric-value histogram: 64 buckets cover the full u64 range, so
 /// fixed-point metric values never saturate into a lossy last bucket.
 using Histogram = BasicHistogram<64>;
 
@@ -113,31 +109,5 @@ double from_fixed(std::uint64_t v);
 
 /// quantile() in metric units.
 double quantile_value(const Histogram& h, double q);
-
-/// Named histograms, one per metric series. Lookup is by name; histogram(…)
-/// creates on first use. Iteration order is lexicographic, so serialization
-/// and merge are deterministic regardless of registration order.
-class MetricRegistry {
- public:
-  Histogram& histogram(std::string_view name);
-  const Histogram* find(std::string_view name) const;
-
-  /// Merge every histogram of `other` into this registry (creating missing
-  /// entries). Associative and commutative like Histogram::merge.
-  void merge(const MetricRegistry& other);
-
-  std::vector<std::string> names() const;
-  std::size_t size() const { return hists_.size(); }
-  bool empty() const { return hists_.empty(); }
-  void clear() { hists_.clear(); }
-
-  void save(serial::Writer& w) const;
-  void load(serial::Reader& r);
-
-  bool operator==(const MetricRegistry&) const = default;
-
- private:
-  std::map<std::string, Histogram, std::less<>> hists_;
-};
 
 }  // namespace turret::metrics

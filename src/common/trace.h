@@ -86,18 +86,10 @@ enum class Block : std::uint8_t { kStats, kPhase, kFleet };
   X(proxy_injected, "proxy_injected", kStats, true)                         \
   /* Branches served from the journal */                                    \
   X(journal_replays, "journal_replays", kStats, false)                      \
-  /* Mirrors of SearchCost::saves and ::loads; bytes written (blob + new */ \
-  /* page-store pages) and page bytes replaced by references             */ \
+  /* Mirrors of SearchCost::saves and ::loads; snapshot blob bytes */       \
   X(snapshot_saves, "snapshot_saves", kStats, false)                        \
   X(snapshot_loads, "snapshot_loads", kStats, false)                        \
   X(snapshot_bytes_written, "snapshot_bytes_written", kStats, false)        \
-  X(snapshot_bytes_deduped, "snapshot_bytes_deduped", kStats, false)        \
-  /* Pages copied out of adopted bases, harvested the same way */           \
-  X(cow_page_faults, "cow_page_faults", kStats, true)                       \
-  /* Page-store occupancy gauges (latest value) and pages reclaimed */      \
-  X(pagestore_pages, "pagestore_pages", kStats, false)                      \
-  X(pagestore_bytes, "pagestore_bytes", kStats, false)                      \
-  X(pagestore_evicted, "pagestore_evicted", kStats, false)                  \
   /* Pruning: branches served by the table, its size (gauge), fleet      */ \
   /* fingerprints, virtual time run to settle points and time avoided    */ \
   X(branches_pruned, "branches_pruned", kStats, false)                      \

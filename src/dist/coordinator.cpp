@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <set>
 #include <utility>
 
 #include "common/check.h"
@@ -16,7 +15,6 @@
 #include "common/trace.h"
 #include "search/journal.h"
 #include "serial/serial.h"
-#include "vm/pagestore.h"
 
 namespace turret::dist {
 
@@ -39,8 +37,6 @@ struct Coordinator::Conn {
   bool ready = false;  ///< hello validated, welcome sent
   bool dead = false;   ///< marked for removal at the end of the pump turn
   std::int64_t last_heard_ns = 0;
-  /// Page refs this connection already holds — shipping is a true delta.
-  std::set<std::pair<std::uint64_t, std::uint32_t>> shipped;
   bool has_blob = false;
   Digest128 blob_digest{};
   std::size_t lease = kNoLease;  ///< index into Batch::units
@@ -63,9 +59,6 @@ struct Coordinator::Batch {
   std::vector<Unit> units;
 
   Digest128 blob_digest{};
-  /// Unique cow pages of this injection point, in deterministic frame order.
-  /// Handles pin the pages for the batch's lifetime.
-  std::vector<std::pair<vm::PageRef, vm::PageHandle>> deltas;
   std::size_t done = 0;
   std::size_t abandoned = 0;
 
@@ -222,14 +215,6 @@ bool Coordinator::send_unit(Conn& conn, Batch& batch, std::size_t unit_index) {
   msg.blob_digest = batch.blob_digest;
   msg.has_blob = !(conn.has_blob && conn.blob_digest == batch.blob_digest);
   if (msg.has_blob) msg.blob = *batch.ip->snapshot;
-  for (const auto& [ref, page] : batch.deltas) {
-    if (conn.shipped.count({ref.hash, ref.slot}) != 0) continue;
-    WorkMsg::PageDelta d;
-    d.hash = ref.hash;
-    d.slot = ref.slot;
-    d.content.assign(page->bytes.begin(), page->bytes.end());
-    msg.pages.push_back(std::move(d));
-  }
   try {
     send_frame(conn.fd, FrameType::kWork, msg.encode());
   } catch (const ProtocolError& e) {
@@ -239,9 +224,6 @@ bool Coordinator::send_unit(Conn& conn, Batch& batch, std::size_t unit_index) {
   // The connection now durably holds everything the message shipped.
   conn.has_blob = true;
   conn.blob_digest = batch.blob_digest;
-  for (const WorkMsg::PageDelta& d : msg.pages) {
-    conn.shipped.insert({d.hash, d.slot});
-  }
   ++unit.tries;
   unit.id = msg.unit;
   unit.state = Batch::Unit::State::kLeased;
@@ -429,8 +411,7 @@ void Coordinator::pump(int timeout_ms, Batch* batch) {
 std::vector<std::optional<search::BranchExecutor::BranchResult>>
 Coordinator::run_remote(const search::BranchExecutor::InjectionPoint& ip,
                         const std::vector<const proxy::MaliciousAction*>& actions,
-                        const std::vector<std::size_t>& live, int windows,
-                        const runtime::DecodedSnapshot& snap) {
+                        const std::vector<std::size_t>& live, int windows) {
   std::vector<std::optional<search::BranchExecutor::BranchResult>> out(
       live.size());
   if (listener_ == nullptr || ip.snapshot == nullptr) return out;
@@ -446,19 +427,6 @@ Coordinator::run_remote(const search::BranchExecutor::InjectionPoint& ip,
     Hasher128 h;
     h.update(BytesView(*ip.snapshot));
     batch.blob_digest = h.digest();
-  }
-  // Cow page deltas, deduped in frame order. Outside cow mode frames carry
-  // no refs and the blob is self-contained — nothing to ship.
-  std::set<std::pair<std::uint64_t, std::uint32_t>> seen;
-  for (const auto& frame : snap.frames) {
-    if (frame == nullptr || frame->refs.empty()) continue;
-    const std::size_t count = std::min(frame->refs.size(), frame->pages.size());
-    for (std::size_t j = 0; j < count; ++j) {
-      const vm::PageRef& ref = frame->refs[j];
-      if (seen.insert({ref.hash, ref.slot}).second) {
-        batch.deltas.emplace_back(ref, frame->pages[j]);
-      }
-    }
   }
 
   while (!batch.finished()) {

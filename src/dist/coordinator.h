@@ -18,9 +18,7 @@
 //   * Graceful degradation — units that could not be placed (no workers, all
 //     workers died) come back as nullopt and the executor runs them locally.
 //
-// Everything the coordinator ships is per-connection delta-encoded: the
-// snapshot blob travels once per (connection, injection point) and cow pages
-// travel only if that connection has never seen the (hash, slot) before.
+// The snapshot blob travels once per (connection, injection point).
 #pragma once
 
 #include <sys/types.h>
@@ -104,8 +102,7 @@ class Coordinator final : public search::RemoteBackend {
   std::vector<std::optional<search::BranchExecutor::BranchResult>> run_remote(
       const search::BranchExecutor::InjectionPoint& ip,
       const std::vector<const proxy::MaliciousAction*>& actions,
-      const std::vector<std::size_t>& live, int windows,
-      const runtime::DecodedSnapshot& snap) override;
+      const std::vector<std::size_t>& live, int windows) override;
 
  private:
   struct Conn;

@@ -14,7 +14,6 @@
 #include "common/fault.h"
 #include "common/trace.h"
 #include "serial/serial.h"
-#include "vm/pagestore.h"
 
 namespace turret::dist {
 
@@ -158,11 +157,6 @@ Bytes WorkMsg::encode() const {
   w.u64(blob_digest.lo);
   w.boolean(has_blob);
   if (has_blob) w.bytes(blob);
-  w.vec(pages, [](serial::Writer& ww, const PageDelta& d) {
-    ww.u64(d.hash);
-    ww.u32(d.slot);
-    ww.bytes(d.content);
-  });
   return w.take();
 }
 
@@ -181,16 +175,6 @@ WorkMsg WorkMsg::decode(BytesView payload) {
     m.blob_digest.lo = r.u64();
     m.has_blob = r.boolean();
     if (m.has_blob) m.blob = r.bytes();
-    m.pages = r.vec<PageDelta>([](serial::Reader& rr) {
-      PageDelta d;
-      d.hash = rr.u64();
-      d.slot = rr.u32();
-      d.content = rr.bytes();
-      if (d.content.size() != vm::kPageSize) {
-        throw ProtocolError("page delta is not one page");
-      }
-      return d;
-    });
     return m;
   });
 }
@@ -237,7 +221,6 @@ Digest128 scenario_fingerprint(const search::Scenario& sc) {
   h.update(sc.system_name);
   h.update_u64(sc.testbed.seed);
   h.update_u64(static_cast<std::uint64_t>(sc.testbed.net.nodes));
-  h.update_u64(static_cast<std::uint64_t>(sc.testbed.snapshot.mode));
   h.update_i64(sc.warmup);
   h.update_i64(sc.duration);
   h.update_i64(sc.window);

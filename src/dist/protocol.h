@@ -57,7 +57,8 @@ enum class FrameType : std::uint8_t {
 constexpr std::uint32_t kFrameMagic = 0x31464454;  // "TDF1"
 constexpr std::uint32_t kMaxFramePayload = 256u << 20;
 // v2: ResultMsg carries an optional telemetry CounterSnapshot delta.
-constexpr std::uint32_t kProtocolVersion = 2;
+// v3: WorkMsg carries no page deltas; the counter frame has 34 rows.
+constexpr std::uint32_t kProtocolVersion = 3;
 
 struct Frame {
   FrameType type = FrameType::kHello;
@@ -106,9 +107,8 @@ struct WelcomeMsg {
 };
 
 /// One work unit: a branch (injection point + optional action + window
-/// count), the snapshot blob it branches from, and the cow page deltas the
-/// worker's PageStore is missing. The blob and pages are shipped only when
-/// this connection has not seen them yet — `blob_digest` lets the worker
+/// count) and the snapshot blob it branches from. The blob is shipped only
+/// when this connection has not seen it yet — `blob_digest` lets the worker
 /// reuse its cached copy ("same blob as last time") and detect misrouting.
 struct WorkMsg {
   std::uint64_t unit = 0;  ///< coordinator-assigned id, echoed in ResultMsg
@@ -125,13 +125,6 @@ struct WorkMsg {
   Digest128 blob_digest{};
   bool has_blob = false;  ///< false: reuse the last blob (digest must match)
   Bytes blob;
-
-  struct PageDelta {
-    std::uint64_t hash = 0;
-    std::uint32_t slot = 0;
-    Bytes content;  ///< exactly vm::kPageSize bytes
-  };
-  std::vector<PageDelta> pages;
 
   Bytes encode() const;
   static WorkMsg decode(BytesView payload);
@@ -162,7 +155,7 @@ struct HeartbeatMsg {
 
 /// Compatibility fingerprint of everything a worker must agree with the
 /// coordinator on for its branch executions to be byte-identical: system,
-/// seed, fleet size, timing parameters, snapshot mode, fault budget, metric.
+/// seed, fleet size, timing parameters, fault budget, metric.
 /// Workers rebuild the Scenario from their own command line (guest factories
 /// cannot cross a process boundary), so the handshake verifies the rebuild.
 Digest128 scenario_fingerprint(const search::Scenario& sc);

@@ -14,7 +14,6 @@
 #include "common/trace.h"
 #include "dist/protocol.h"
 #include "search/executor.h"
-#include "vm/pagestore.h"
 
 namespace turret::dist {
 
@@ -85,7 +84,6 @@ ServeEnd serve(int fd, const search::Scenario& sc,
     }
   } join_beat{stop, beat};
 
-  const std::shared_ptr<vm::PageStore> store = sc.testbed.snapshot.store;
   std::shared_ptr<const Bytes> cached_blob;
   Digest128 cached_digest{};
 
@@ -105,14 +103,6 @@ ServeEnd serve(int fd, const search::Scenario& sc,
       return ServeEnd::kDied;
     }
 
-    for (const WorkMsg::PageDelta& d : work.pages) {
-      if (store == nullptr) {
-        throw ProtocolError(
-            "page deltas shipped but this worker has no page store "
-            "(snapshot-mode mismatch)");
-      }
-      store->put(vm::PageRef{d.hash, d.slot}, d.content);
-    }
     if (work.has_blob) {
       cached_blob = std::make_shared<const Bytes>(std::move(work.blob));
       cached_digest = work.blob_digest;

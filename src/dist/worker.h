@@ -4,9 +4,9 @@
 // prove compatibility (Hello: protocol version + scenario fingerprint),
 // then execute WorkMsg units and stream back ResultMsgs while a heartbeat
 // thread keeps the lease alive. Workers are deliberately stateless between
-// units — everything a branch needs arrives in the unit (or is cached per
-// connection: the snapshot blob, the page store deltas), so the coordinator
-// can reassign any unit to any worker and get byte-identical results.
+// units — everything a branch needs arrives in the unit (or, for the
+// snapshot blob, is cached per connection), so the coordinator can reassign
+// any unit to any worker and get byte-identical results.
 //
 // Connection loss is normal life, not an error: the worker reconnects with
 // exponential backoff + jitter (common/backoff) and gives up only after

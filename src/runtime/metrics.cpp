@@ -22,7 +22,6 @@ void MetricsCollector::record(std::string_view metric, Time t, double value) {
   TURRET_CHECK_MSG(it->second.empty() || it->second.back().t <= t,
                    "metric samples must be time-ordered");
   it->second.push_back({t, value});
-  hist_.histogram(metric).add(metrics::to_fixed(value));
 }
 
 metrics::Histogram MetricsCollector::window_histogram(std::string_view metric,
@@ -120,7 +119,6 @@ void MetricsCollector::save(serial::Writer& w) const {
   };
   save_map(counts_);
   save_map(values_);
-  hist_.save(w);
 }
 
 void MetricsCollector::load(serial::Reader& r) {
@@ -143,7 +141,6 @@ void MetricsCollector::load(serial::Reader& r) {
   };
   load_map(counts_);
   load_map(values_);
-  hist_.load(r);
 }
 
 }  // namespace turret::runtime

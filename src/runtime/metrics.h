@@ -56,12 +56,6 @@ class MetricsCollector {
   std::vector<MetricPoint> points(std::string_view metric, Time t0,
                                   Time t1) const;
 
-  /// Whole-series log2 histograms, one per value metric, maintained
-  /// incrementally by record() (fixed-point domain: metrics::to_fixed).
-  /// Part of save()/load(), so a restored branch reports identical
-  /// percentiles to the original execution.
-  const metrics::MetricRegistry& histograms() const { return hist_; }
-
   /// Histogram of a value metric's samples inside [t0, t1) — the window
   /// query behind WindowPerf percentiles. Empty histogram for count metrics
   /// and unknown names. Deterministic: bucket adds commute, and the series
@@ -85,7 +79,6 @@ class MetricsCollector {
 
   std::map<std::string, Series, std::less<>> counts_;
   std::map<std::string, Series, std::less<>> values_;
-  metrics::MetricRegistry hist_;  ///< whole-series histograms of values_
 };
 
 }  // namespace turret::runtime

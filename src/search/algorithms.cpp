@@ -360,10 +360,6 @@ SearchResult greedy_search(const Scenario& sc, const GreedyOptions& opt,
           found_new = true;
         }
       }
-
-      // This point's branches are done; drop store pages only its transient
-      // continuation snapshots referenced (live points stay pinned).
-      exec.evict_unreferenced_pages();
     }
   }
   res.cost = exec.cost();
@@ -480,10 +476,6 @@ SearchResult weighted_greedy_search(const Scenario& sc,
       TLOG_INFO("weighted-greedy: %s", rep.describe().c_str());
       res.attacks.push_back(std::move(rep));
     }
-
-    // Between injection points: evict store pages nothing references any
-    // more, so occupancy tracks the live working set over a long search.
-    exec.evict_unreferenced_pages();
   }
 
   res.cost = exec.cost();

@@ -150,20 +150,12 @@ BranchExecutor::BranchExecutor(const Scenario& sc) : sc_(sc) {
   TURRET_CHECK_MSG(sc.schema != nullptr, "scenario needs a wire schema");
   TURRET_CHECK_MSG(sc.factory != nullptr, "scenario needs a guest factory");
   TURRET_CHECK_MSG(!sc.malicious.empty(), "scenario needs malicious nodes");
-  // Every world of a cow search must intern into ONE store, or refs decoded
-  // in one world would dangle in another; require it up front rather than
-  // letting per-testbed private stores fail mysteriously mid-search.
-  TURRET_CHECK_MSG(sc.testbed.snapshot.mode != vm::SnapshotMode::kCow ||
-                       sc.testbed.snapshot.store != nullptr,
-                   "cow snapshot mode requires a shared PageStore in "
-                   "Scenario::testbed.snapshot.store");
 }
 
 namespace {
 
 ScenarioWorld::Stats world_stats(const ScenarioWorld& w) {
-  return {w.testbed->emulator().stats(), w.proxy->stats(),
-          w.testbed->cow_faults()};
+  return {w.testbed->emulator().stats(), w.proxy->stats()};
 }
 
 }  // namespace
@@ -179,8 +171,6 @@ ScenarioWorld::~ScenarioWorld() {
              now.proxy.observed - entry->proxy.observed);
   trace::add(trace::Counter::proxy_injected,
              now.proxy.injected - entry->proxy.injected);
-  trace::add(trace::Counter::cow_page_faults,
-             now.cow_faults - entry->cow_faults);
 }
 
 ScenarioWorld make_scenario_world(const Scenario& sc,
@@ -271,7 +261,6 @@ const std::vector<BranchExecutor::InjectionPoint>& BranchExecutor::discover() {
         ip.message_name = spec->name;
         ip.time = w.testbed->now();
         ip.snapshot = shared;
-        ip.pages = w.testbed->last_save_pages();
         points_->push_back(std::move(ip));
         TLOG_INFO("injection point: %s at %s", spec->name.c_str(),
                   format_time(w.testbed->now()).c_str());
@@ -330,8 +319,7 @@ const runtime::DecodedSnapshot& BranchExecutor::decoded(
     DecodedEntry e;
     e.blob = ip.snapshot;
     e.snapshot = std::make_unique<const runtime::DecodedSnapshot>(
-        runtime::Testbed::decode_snapshot(*ip.snapshot,
-                                          sc_.testbed.snapshot.store.get()));
+        runtime::Testbed::decode_snapshot(*ip.snapshot));
     std::vector<DecodedEntry>& c = decoded_cache_[key];  // clear() invalidated
     c.push_back(std::move(e));
     ++decoded_cache_entries_;
@@ -763,8 +751,7 @@ void BranchExecutor::dispatch(
   std::vector<std::size_t> local;
   if (remote_ != nullptr && provenance_ == nullptr && snap != nullptr &&
       !run.empty() && remote_->available()) {
-    const auto remote_out =
-        remote_->run_remote(ip, actions, run, windows, *snap);
+    const auto remote_out = remote_->run_remote(ip, actions, run, windows);
     TURRET_CHECK_MSG(remote_out.size() == run.size(),
                      "remote backend returned a mismatched batch");
     for (std::size_t k = 0; k < run.size(); ++k) {
@@ -825,16 +812,6 @@ std::optional<Digest128> BranchExecutor::fingerprint_branch(
   }
 }
 
-void BranchExecutor::evict_unreferenced_pages() {
-  const std::shared_ptr<vm::PageStore>& store = sc_.testbed.snapshot.store;
-  if (store == nullptr) return;
-  const std::size_t evicted = store->evict_unreferenced();
-  const vm::PageStoreStats s = store->stats();
-  trace::add(trace::Counter::pagestore_evicted, evicted);
-  trace::set_gauge(trace::Counter::pagestore_pages, s.stored_pages);
-  trace::set_gauge(trace::Counter::pagestore_bytes, s.stored_bytes());
-}
-
 BranchExecutor::BranchResult BranchExecutor::try_run_branch(
     const InjectionPoint& ip, const proxy::MaliciousAction* action,
     int windows) {
@@ -893,7 +870,6 @@ BranchExecutor::try_continue_branch(const InjectionPoint& ip,
       n.message_name = ip.message_name;
       n.time = w.testbed->now();
       n.snapshot = std::make_shared<const Bytes>(w.testbed->save_snapshot());
-      n.pages = w.testbed->last_save_pages();
       return n;
     });
   } else {

@@ -96,11 +96,10 @@ double compute_damage(const MetricSpec& metric, const WindowPerf& base,
 /// A testbed + proxy pair for one scenario, wired together (proxy installed
 /// on the emulator ingress path).
 ///
-/// A world feeds the trace counters for emulator events, proxy traffic and
-/// copy-on-write faults without a per-event hook: at teardown — an
-/// exception's unwind included, so a failed attempt counts what it ran — it
-/// adds the growth of its emulator, proxy and image stats since entry, the
-/// moment make_scenario_world returned.
+/// A world feeds the trace counters for emulator events and proxy traffic
+/// without a per-event hook: at teardown — an exception's unwind included, so
+/// a failed attempt counts what it ran — it adds the growth of its emulator
+/// and proxy stats since entry, the moment make_scenario_world returned.
 struct ScenarioWorld {
   std::unique_ptr<runtime::Testbed> testbed;
   std::unique_ptr<proxy::MaliciousProxy> proxy;
@@ -113,7 +112,6 @@ struct ScenarioWorld {
   struct Stats {
     netem::EmulatorStats emu;
     proxy::ProxyStats proxy;
-    std::uint64_t cow_faults = 0;
   };
   /// The stats at entry. Unset until make_scenario_world returns, so a world
   /// whose snapshot load threw executed nothing and adds nothing.
@@ -147,10 +145,6 @@ class BranchExecutor {
     std::string message_name;
     Time time = 0;  ///< virtual time of the snapshot (just after first send)
     std::shared_ptr<const Bytes> snapshot;
-    /// Cow mode: pins the store pages `snapshot` references, so
-    /// evict_unreferenced_pages() between injection points can never evict a
-    /// page a live (not yet decoded) blob still needs. Null in other modes.
-    std::shared_ptr<const std::vector<vm::PageHandle>> pages;
   };
 
   struct BranchOutcome {
@@ -304,13 +298,6 @@ class BranchExecutor {
   /// Whole-run benign performance over [warmup, warmup + window).
   WindowPerf benign_performance();
 
-  /// Drop every page the shared PageStore holds that no snapshot pins —
-  /// algorithms call this between injection points once a point's branches
-  /// are done, so a long search's store occupancy tracks the live working
-  /// set instead of growing monotonically. No-op outside cow mode. Updates
-  /// the pagestore_pages / pagestore_bytes / pagestore_evicted counters.
-  void evict_unreferenced_pages();
-
  private:
   WindowPerf measure(const runtime::Testbed& tb, Time t0, Time t1) const;
 
@@ -438,14 +425,11 @@ class RemoteBackend {
   /// Execute the `live` subset of a batch remotely. Returns one entry per
   /// element of `live`, in the same order: a BranchResult when the branch ran
   /// (or was quarantined) remotely, nullopt when the unit could not be placed
-  /// — the executor runs those locally. `snap` is the decoded form of
-  /// ip.snapshot (already cached by the executor), from which cow page deltas
-  /// are extracted for shipping.
+  /// — the executor runs those locally.
   virtual std::vector<std::optional<BranchExecutor::BranchResult>> run_remote(
       const BranchExecutor::InjectionPoint& ip,
       const std::vector<const proxy::MaliciousAction*>& actions,
-      const std::vector<std::size_t>& live, int windows,
-      const runtime::DecodedSnapshot& snap) = 0;
+      const std::vector<std::size_t>& live, int windows) = 0;
 };
 
 /// Journal payload encoding for one BranchResult (`charged` is not encoded).

@@ -27,7 +27,6 @@
 #include "search/provenance.h"
 #include "search/telemetry.h"
 #include "systems/registry.h"
-#include "vm/pagestore.h"
 
 namespace {
 
@@ -96,10 +95,6 @@ void usage() {
                "  --branch-budget <n>   emulator event budget per branch; a\n"
                "                        runaway branch aborts and is\n"
                "                        quarantined (default 100000000)\n"
-               "  --snapshot-mode <m>   plain (default) | shared (KSM-deduped\n"
-               "                        blobs) | cow (content-addressed page\n"
-               "                        store; branches share pages\n"
-               "                        copy-on-write)\n"
                "  --prune <on|off>      branch-equivalence pruning (default\n"
                "                        off): branches whose settled fleet-\n"
                "                        state fingerprints match skip guest\n"
@@ -160,7 +155,6 @@ struct Options {
   std::string report_path;
   std::string trace_path;
   turret::trace::Clock trace_clock = turret::trace::Clock::kVirtual;
-  turret::vm::SnapshotMode snapshot_mode = turret::vm::SnapshotMode::kPlain;
   bool prune = false;
 };
 
@@ -195,11 +189,6 @@ search::Scenario build_scenario(const Options& o) {
     sc.duration = static_cast<Duration>(o.duration_sec * kSecond);
   if (o.max_retries >= 0) sc.fault.max_retries = o.max_retries;
   if (o.branch_budget > 0) sc.fault.max_branch_events = o.branch_budget;
-  sc.testbed.snapshot.mode = o.snapshot_mode;
-  if (o.snapshot_mode == turret::vm::SnapshotMode::kCow) {
-    // One store for every world the search will create (DESIGN.md §5e).
-    sc.testbed.snapshot.store = std::make_shared<turret::vm::PageStore>();
-  }
   sc.prune.enabled = o.prune;
   return sc;
 }
@@ -356,14 +345,6 @@ int main(int argc, char** argv) {
                      "turret-run: --trace-clock wants 'virtual' or 'wall'\n");
         return 2;
       }
-    } else if (arg == "--snapshot-mode") {
-      const auto m = turret::vm::parse_snapshot_mode(next());
-      if (!m) {
-        std::fprintf(stderr,
-                     "turret-run: --snapshot-mode wants plain, shared or cow\n");
-        return 2;
-      }
-      o.snapshot_mode = *m;
     } else if (arg == "--prune") {
       const std::string v = next();
       if (v == "on") {

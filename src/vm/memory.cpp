@@ -31,12 +31,7 @@ void MemoryImage::materialize(const MemoryProfile& profile,
   guest_state_bytes_ = static_cast<std::uint32_t>(guest_state.size());
   const std::size_t total =
       profile.os_pages + profile.app_pages + profile.unique_pages + heap_pages_;
-  base_.reset();
-  local_.clear();
   data_.assign(total * kPageSize, 0);
-  dirty_.assign(total, true);
-  epoch_ = 0;
-  cow_faults_ = 0;
 
   std::size_t pfn = 0;
   // OS image — same for every VM booted from this profile.
@@ -48,7 +43,7 @@ void MemoryImage::materialize(const MemoryProfile& profile,
   // Unique region — differs per VM.
   for (std::uint32_t i = 0; i < profile.unique_pages; ++i, ++pfn)
     fill_page(data_, pfn, mix64(vm_uid) ^ (0x1234abcdull + i));
-  // Heap last, so update_heap() can grow it without renumbering any pfn.
+  // Heap last: the guest state, zero-padded to whole pages.
   heap_start_pfn_ = static_cast<std::uint32_t>(pfn);
   if (!guest_state.empty()) {
     std::memcpy(data_.data() + pfn * kPageSize, guest_state.data(),
@@ -71,120 +66,19 @@ Bytes MemoryImage::extract_guest_state() const {
   return out;
 }
 
-void MemoryImage::update_heap(BytesView guest_state) {
-  const std::uint32_t needed = static_cast<std::uint32_t>(
-      (guest_state.size() + kPageSize - 1) / kPageSize);
-  if (needed > heap_pages_) {
-    TURRET_CHECK_MSG(
-        static_cast<std::size_t>(heap_start_pfn_) + heap_pages_ ==
-            page_count(),
-        "heap growth requires the heap-last layout");
-    grow_pages(page_count() + (needed - heap_pages_));
-    heap_pages_ = needed;
-  }
-  guest_state_bytes_ = static_cast<std::uint32_t>(guest_state.size());
-
-  Bytes scratch(kPageSize);
-  std::size_t off = 0;
-  for (std::uint32_t p = 0; p < needed; ++p, off += kPageSize) {
-    const std::size_t n = std::min(kPageSize, guest_state.size() - off);
-    const std::uint8_t* expected = guest_state.data() + off;
-    if (n < kPageSize) {
-      // Partial last page: zero-padded, so the tail beyond the state is
-      // deterministic regardless of what was there before.
-      std::memcpy(scratch.data(), expected, n);
-      std::memset(scratch.data() + n, 0, kPageSize - n);
-      expected = scratch.data();
-    }
-    const std::size_t pfn = heap_start_pfn_ + p;
-    if (std::memcmp(page(pfn).data(), expected, kPageSize) != 0) {
-      set_page(pfn, BytesView(expected, kPageSize));
-    }
-  }
-}
-
 void MemoryImage::set_page(std::size_t pfn, BytesView content) {
   TURRET_CHECK(content.size() == kPageSize);
   TURRET_CHECK(pfn < page_count());
-  std::memcpy(writable_page(pfn), content.data(), kPageSize);
-  dirty_[pfn] = true;
-}
-
-std::uint8_t* MemoryImage::writable_page(std::size_t pfn) {
-  if (!base_) return data_.data() + pfn * kPageSize;
-  Bytes& local = local_[pfn];
-  if (local.empty()) {
-    // COW fault: first write to a shared page copies it out of the base.
-    local.assign(base_->pages[pfn]->bytes.begin(),
-                 base_->pages[pfn]->bytes.end());
-    ++cow_faults_;
-  }
-  return local.data();
-}
-
-void MemoryImage::grow_pages(std::size_t new_count) {
-  const std::size_t old_count = page_count();
-  TURRET_CHECK(new_count >= old_count);
-  if (base_) {
-    local_.resize(new_count);
-    for (std::size_t pfn = old_count; pfn < new_count; ++pfn)
-      local_[pfn].assign(kPageSize, 0);
-  } else {
-    data_.resize(new_count * kPageSize, 0);
-  }
-  dirty_.resize(new_count, true);
-}
-
-const Bytes& MemoryImage::raw() const {
-  TURRET_CHECK_MSG(!base_, "raw() on an adopted image; use flatten()");
-  return data_;
-}
-
-Bytes MemoryImage::flatten() const {
-  if (!base_) return data_;
-  Bytes out(page_count() * kPageSize);
-  for (std::size_t pfn = 0; pfn < page_count(); ++pfn) {
-    std::memcpy(out.data() + pfn * kPageSize, page(pfn).data(), kPageSize);
-  }
-  return out;
+  std::memcpy(data_.data() + pfn * kPageSize, content.data(), kPageSize);
 }
 
 void MemoryImage::assign_pages(Bytes data) {
   TURRET_CHECK(data.size() % kPageSize == 0);
-  base_.reset();
-  local_.clear();
   data_ = std::move(data);
-  dirty_.assign(data_.size() / kPageSize, true);
 }
 
 void MemoryImage::resize_pages(std::size_t n) {
-  base_.reset();
-  local_.clear();
   data_.assign(n * kPageSize, 0);
-  dirty_.assign(n, true);
-}
-
-void MemoryImage::adopt(std::shared_ptr<const PageFrames> frames) {
-  TURRET_CHECK(frames != nullptr);
-  base_ = std::move(frames);
-  data_.clear();
-  data_.shrink_to_fit();
-  local_.assign(base_->pages.size(), Bytes{});
-  dirty_.assign(base_->pages.size(), false);
-  heap_start_pfn_ = base_->heap_start_pfn;
-  heap_pages_ = base_->heap_pages;
-  guest_state_bytes_ = base_->state_bytes;
-  cow_faults_ = 0;
-}
-
-std::size_t MemoryImage::dirty_count() const {
-  return static_cast<std::size_t>(
-      std::count(dirty_.begin(), dirty_.end(), true));
-}
-
-void MemoryImage::clear_dirty() {
-  dirty_.assign(page_count(), false);
-  ++epoch_;
 }
 
 void MemoryImage::save_meta(serial::Writer& w) const {

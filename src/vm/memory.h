@@ -9,31 +9,21 @@
 // Here a MemoryImage is the paged view of one VM: a deterministic "OS image"
 // region and "application image" region (identical across VMs booted from
 // the same profile), a per-VM unique region (stacks, buffers), and a heap
-// region holding the guest's serialized protocol state. The heap sits last so
-// it can grow without shifting any other region's pfn. Identical-page
-// detection, the shared map, and save/load live in snapshot.h; the
-// content-addressed store backing cow snapshots lives in pagestore.h.
-//
-// Two storage forms:
-//  - flat: one contiguous buffer owning every page (materialize / load).
-//  - adopted: the image references a shared immutable PageFrames (a decoded
-//    snapshot) and copies a page into a private overlay only on first write —
-//    a COW fault. N branches restored from one snapshot share one physical
-//    copy of every page none of them has written.
-// Every write path (set_page, update_heap, growth) also marks the page dirty;
-// clear_dirty() starts a new epoch, so a delta snapshot writes only pages
-// touched since its parent.
+// region holding the guest's serialized protocol state. The heap sits last,
+// after every fixed-size region. Identical-page detection, the shared map,
+// and save/load live in snapshot.h. Execution branching does not page VM
+// memory: a testbed snapshot carries each VM's serialized state directly
+// (runtime/testbed.h); these images model the paper's Table II fleets.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "common/bytes.h"
 #include "serial/serial.h"
-#include "vm/pagestore.h"
 
 namespace turret::vm {
+
+constexpr std::size_t kPageSize = 4096;
 
 /// Shape of a VM's memory. Defaults model a small appliance guest scaled
 /// down from the paper's 128 MiB VMs (documented in DESIGN.md): the OS and
@@ -50,78 +40,35 @@ struct MemoryProfile {
   }
 };
 
-/// One VM's paged memory. Pages are stored contiguously (flat) or as a
-/// shared base plus a copy-on-write overlay (adopted).
+/// One VM's paged memory, stored as one contiguous buffer.
 class MemoryImage {
  public:
   MemoryImage() = default;
 
   /// Build the image for VM `vm_uid`: OS/app regions from the profile's boot
   /// seed (identical for every VM), unique pages derived from vm_uid, and the
-  /// guest state laid out into heap pages at the end. All pages start dirty.
+  /// guest state laid out into heap pages at the end.
   void materialize(const MemoryProfile& profile, std::uint64_t vm_uid,
                    BytesView guest_state);
 
   /// Re-extract the guest state bytes from the heap region.
   Bytes extract_guest_state() const;
 
-  /// Write a new serialized guest state into the heap, page-wise: only pages
-  /// whose content actually changed are written (and so dirtied). The heap
-  /// grows by appending pages when the state outgrows it (never shrinks —
-  /// capacity is sticky so pfns stay stable); the tail of the last used page
-  /// is always zero-padded.
-  void update_heap(BytesView guest_state);
-
-  std::size_t page_count() const {
-    return base_ ? local_.size() : data_.size() / kPageSize;
-  }
-  std::size_t size_bytes() const { return page_count() * kPageSize; }
+  std::size_t page_count() const { return data_.size() / kPageSize; }
 
   BytesView page(std::size_t pfn) const {
-    if (base_) {
-      const Bytes& local = local_[pfn];
-      if (!local.empty()) return BytesView(local.data(), kPageSize);
-      return BytesView(base_->pages[pfn]->bytes.data(), kPageSize);
-    }
     return BytesView(data_.data() + pfn * kPageSize, kPageSize);
   }
   void set_page(std::size_t pfn, BytesView content);
 
-  /// Raw access for whole-image IO; flat images only.
-  const Bytes& raw() const;
-  /// Full contiguous copy; works for flat and adopted images.
-  Bytes flatten() const;
+  /// Raw access for whole-image IO.
+  const Bytes& raw() const { return data_; }
   /// Replace the page content with a flat buffer (layout metadata is kept —
-  /// pair with load_meta). Drops any adopted base; all pages become dirty.
+  /// pair with load_meta).
   void assign_pages(Bytes data);
   void resize_pages(std::size_t n);
 
   std::uint64_t page_hash(std::size_t pfn) const;
-
-  std::uint32_t heap_start_pfn() const { return heap_start_pfn_; }
-  std::uint32_t heap_pages() const { return heap_pages_; }
-  std::uint32_t guest_state_bytes() const { return guest_state_bytes_; }
-
-  // --- copy-on-write -------------------------------------------------------
-
-  /// Adopt a decoded snapshot's shared frames as this image's content. No
-  /// page content is copied; the first write to each page copies just that
-  /// page. Resets dirty bits and the COW fault count.
-  void adopt(std::shared_ptr<const PageFrames> frames);
-  bool adopted() const { return base_ != nullptr; }
-  const std::shared_ptr<const PageFrames>& base() const { return base_; }
-  /// Pages copied out of the adopted base by writes since adopt().
-  std::uint64_t cow_faults() const { return cow_faults_; }
-
-  // --- dirty tracking ------------------------------------------------------
-
-  bool dirty(std::size_t pfn) const {
-    return pfn < dirty_.size() && dirty_[pfn];
-  }
-  std::size_t dirty_count() const;
-  /// Mark every page clean and start a new snapshot epoch.
-  void clear_dirty();
-  std::uint64_t epoch() const { return epoch_; }
 
   /// Layout metadata (region offsets); saved alongside page content so that
   /// extract_guest_state() works on a loaded image.
@@ -129,16 +76,7 @@ class MemoryImage {
   void load_meta(serial::Reader& r);
 
  private:
-  /// Pointer to a writable copy of the page, breaking COW sharing if needed.
-  std::uint8_t* writable_page(std::size_t pfn);
-  void grow_pages(std::size_t new_count);
-
-  Bytes data_;  ///< flat storage; empty while adopted
-  std::shared_ptr<const PageFrames> base_;  ///< adopted base, or null
-  std::vector<Bytes> local_;  ///< COW overlay; [pfn].empty() = still shared
-  std::vector<bool> dirty_;
-  std::uint64_t epoch_ = 0;
-  std::uint64_t cow_faults_ = 0;
+  Bytes data_;
   std::uint32_t heap_start_pfn_ = 0;
   std::uint32_t heap_pages_ = 0;
   std::uint32_t guest_state_bytes_ = 0;

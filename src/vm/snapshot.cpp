@@ -123,14 +123,11 @@ void KsmIndex::insert_page(std::span<const MemoryImage* const> vms,
                            std::size_t v, std::size_t p) {
   const std::uint64_t h = vms[v]->page_hash(p);
   hashes_[v][p] = h;
-  Bucket& b = buckets_[h];
-  if (b.members.empty()) {
-    b.members.push_back({static_cast<std::uint32_t>(v),
-                         static_cast<std::uint32_t>(p)});
-    member_[v][p] = 1;
-    return;
-  }
-  const auto [cv, cp] = b.members.front();
+  const auto [it, fresh] = buckets_.try_emplace(h, Bucket{{v, p}});
+  member_[v][p] = 1;
+  if (fresh) return;
+  Bucket& b = it->second;
+  const auto [cv, cp] = b.canonical;
   if (!pages_equal(vms[cv]->page(cp), vms[v]->page(p))) {
     // Hash collision with different content: stays private, like KSM's
     // stable tree which demands byte equality.
@@ -138,47 +135,6 @@ void KsmIndex::insert_page(std::span<const MemoryImage* const> vms,
     return;
   }
   if (cv != v) b.multi_vm = true;
-  b.members.push_back({static_cast<std::uint32_t>(v),
-                       static_cast<std::uint32_t>(p)});
-  member_[v][p] = 1;
-}
-
-void KsmIndex::remove_page(std::size_t v, std::size_t p) {
-  auto it = buckets_.find(hashes_[v][p]);
-  if (it == buckets_.end() || !member_[v][p]) return;
-  Bucket& b = it->second;
-  const std::pair<std::uint32_t, std::uint32_t> key{
-      static_cast<std::uint32_t>(v), static_cast<std::uint32_t>(p)};
-  for (auto m = b.members.begin(); m != b.members.end(); ++m) {
-    if (*m == key) {
-      b.members.erase(m);
-      break;
-    }
-  }
-  member_[v][p] = 0;
-  if (b.members.empty()) {
-    buckets_.erase(it);
-    return;
-  }
-  // Members are pairwise byte-equal, so any survivor is a valid canonical;
-  // recompute multi-VM-ness from what's left.
-  b.multi_vm = false;
-  for (const auto& m : b.members) {
-    if (m.first != b.members.front().first) {
-      b.multi_vm = true;
-      break;
-    }
-  }
-}
-
-void KsmIndex::rebuild_canonical() {
-  canonical_.clear();
-  for (const auto& [h, b] : buckets_) {
-    if (b.multi_vm) {
-      canonical_.push_back({b.members.front().first, b.members.front().second});
-    }
-  }
-  std::sort(canonical_.begin(), canonical_.end());
 }
 
 void KsmIndex::scan(std::span<const MemoryImage* const> vms) {
@@ -195,34 +151,11 @@ void KsmIndex::scan(std::span<const MemoryImage* const> vms) {
       insert_page(vms, v, p);
   }
   scanned_ = true;
-  rebuild_canonical();
-}
-
-void KsmIndex::rescan(std::span<const MemoryImage* const> vms) {
-  if (!scanned_ || hashes_.size() != vms.size()) {
-    scan(vms);
-    return;
+  canonical_.clear();
+  for (const auto& [h, b] : buckets_) {
+    if (b.multi_vm) canonical_.push_back(b.canonical);
   }
-  for (std::size_t v = 0; v < vms.size(); ++v) {
-    if (vms[v]->page_count() < hashes_[v].size()) {
-      scan(vms);  // shrink: shape changed, start over
-      return;
-    }
-  }
-  for (std::size_t v = 0; v < vms.size(); ++v) {
-    const std::size_t old_count = hashes_[v].size();
-    const std::size_t new_count = vms[v]->page_count();
-    if (new_count > old_count) {
-      hashes_[v].resize(new_count, 0);
-      member_[v].resize(new_count, 0);
-    }
-    for (std::size_t p = 0; p < new_count; ++p) {
-      if (!vms[v]->dirty(p)) continue;
-      if (p < old_count) remove_page(v, p);
-      insert_page(vms, v, p);
-    }
-  }
-  rebuild_canonical();
+  std::sort(canonical_.begin(), canonical_.end());
 }
 
 bool KsmIndex::is_shared(std::size_t vm, std::size_t pfn) const {

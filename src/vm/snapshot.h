@@ -31,7 +31,7 @@ class BlobStore {
   virtual bool contains(const std::string& name) const = 0;
 };
 
-/// Blobs kept in RAM (used by execution branching and unit tests).
+/// Blobs kept in RAM (unit tests).
 class MemoryBlobStore final : public BlobStore {
  public:
   void put(const std::string& name, const Bytes& data) override;
@@ -69,20 +69,13 @@ struct SaveReport {
 /// more VMs. In the paper KSM merges pages continuously while the VMs run and
 /// the modified KVM merely *queries* it during save (the added interface);
 /// accordingly, scan() is done outside the save path and save_shared()
-/// consults the index in O(1) per page. rescan() mirrors KSM's continuous
-/// operation: only pages the images report dirty are rehashed, so keeping the
-/// index current between snapshots costs O(dirty), not O(total).
+/// consults the index in O(1) per page.
 class KsmIndex {
  public:
   /// Full scan of a fleet. Hash collisions are settled by byte comparison;
   /// colliding but unequal pages stay private (KSM's stable tree demands
   /// equality).
   void scan(std::span<const MemoryImage* const> vms);
-
-  /// Incremental update: re-index only pages whose dirty bit is set (plus
-  /// any newly grown pages, which start dirty). Falls back to a full scan()
-  /// when the index has never scanned or the fleet shape changed.
-  void rescan(std::span<const MemoryImage* const> vms);
 
   bool scanned() const { return scanned_; }
 
@@ -97,18 +90,16 @@ class KsmIndex {
   }
 
  private:
-  /// All byte-equal pages with this content; members[0] is canonical.
-  /// Equal-hash but unequal-content pages are not members (they stay
-  /// private). Values are node-stable in the unordered_map.
+  /// The pages with one content hash: the first page seen is canonical, and
+  /// a byte-equal page of another VM makes the bucket shared. Equal-hash but
+  /// unequal-content pages are not members (they stay private).
   struct Bucket {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> members;
+    std::pair<std::size_t, std::size_t> canonical;
     bool multi_vm = false;
   };
 
   void insert_page(std::span<const MemoryImage* const> vms, std::size_t v,
                    std::size_t p);
-  void remove_page(std::size_t v, std::size_t p);
-  void rebuild_canonical();
 
   bool scanned_ = false;
   std::unordered_map<std::uint64_t, Bucket> buckets_;

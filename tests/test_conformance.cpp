@@ -139,19 +139,34 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, SystemConformance,
 // The guest boundary (common/check.h): whatever a guest does with hostile
 // input — crash, stall, reply to a lied node id — is a guest outcome. A
 // TURRET_CHECK in a quarantine record means a guest's reaction to a lie
-// tripped a platform invariant instead.
-class GuestBoundaryGuard : public ::testing::TestWithParam<std::string> {};
+// tripped a platform invariant instead. Weighted greedy branches from
+// snapshots; brute force runs every default action on every message type the
+// malicious node sends, each from t = 0.
+class GuestBoundaryGuard : public ::testing::TestWithParam<std::string> {
+ protected:
+  search::Scenario short_scenario() const {
+    search::Scenario sc = scenario_for(GetParam());
+    sc.duration = 4 * kSecond;
+    sc.window = kSecond;
+    return sc;
+  }
+
+  static void expect_no_platform_invariant(const search::SearchResult& res) {
+    EXPECT_GT(res.cost.branches, 0u);
+    for (const search::FailedBranch& f : res.failed) {
+      EXPECT_EQ(f.error.find("TURRET_CHECK"), std::string::npos)
+          << f.describe() << ": " << f.error;
+    }
+  }
+};
 
 TEST_P(GuestBoundaryGuard, NoActionTripsAPlatformInvariant) {
-  search::Scenario sc = scenario_for(GetParam());
-  sc.duration = 4 * kSecond;
-  sc.window = kSecond;
-  const search::SearchResult res = search::weighted_greedy_search(sc);
-  EXPECT_GT(res.cost.branches, 0u);
-  for (const search::FailedBranch& f : res.failed) {
-    EXPECT_EQ(f.error.find("TURRET_CHECK"), std::string::npos)
-        << f.describe() << ": " << f.error;
-  }
+  expect_no_platform_invariant(
+      search::weighted_greedy_search(short_scenario()));
+}
+
+TEST_P(GuestBoundaryGuard, NoBruteForceActionTripsAPlatformInvariant) {
+  expect_no_platform_invariant(search::brute_force_search(short_scenario()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, GuestBoundaryGuard,

@@ -25,7 +25,6 @@
 #include "search/algorithms.h"
 #include "search/journal.h"
 #include "systems/pbft/pbft_scenario.h"
-#include "vm/pagestore.h"
 
 namespace turret {
 namespace {
@@ -204,11 +203,6 @@ TEST(DistProtocol, MessagesRoundTrip) {
   work.blob_digest = Digest128{77, 88};
   work.has_blob = true;
   work.blob = {9, 8, 7};
-  dist::WorkMsg::PageDelta d;
-  d.hash = 0xabcdef;
-  d.slot = 1;
-  d.content.assign(vm::kPageSize, 0x5a);
-  work.pages.push_back(d);
   const dist::WorkMsg work2 = dist::WorkMsg::decode(work.encode());
   EXPECT_EQ(work2.unit, 31u);
   EXPECT_EQ(work2.tag, 3);
@@ -220,10 +214,6 @@ TEST(DistProtocol, MessagesRoundTrip) {
   EXPECT_EQ(work2.blob_digest, work.blob_digest);
   ASSERT_TRUE(work2.has_blob);
   EXPECT_EQ(work2.blob, work.blob);
-  ASSERT_EQ(work2.pages.size(), 1u);
-  EXPECT_EQ(work2.pages[0].hash, 0xabcdefu);
-  EXPECT_EQ(work2.pages[0].slot, 1u);
-  EXPECT_EQ(work2.pages[0].content, d.content);
 }
 
 TEST(DistProtocol, ResultMsgRoundTripsATelemetryDelta) {
@@ -240,16 +230,6 @@ TEST(DistProtocol, ResultMsgRoundTripsATelemetryDelta) {
   ASSERT_TRUE(back.has_telemetry);
   for (const trace::CounterRow& row : trace::kCounterRows)
     EXPECT_EQ(back.telemetry.*row.value, res.telemetry.*row.value) << row.name;
-}
-
-TEST(DistProtocol, WorkMsgRejectsWrongPageSize) {
-  dist::WorkMsg work;
-  work.has_blob = true;
-  work.blob = {1};
-  dist::WorkMsg::PageDelta d;
-  d.content.assign(vm::kPageSize - 1, 0);  // one byte short
-  work.pages.push_back(d);
-  EXPECT_THROW(dist::WorkMsg::decode(work.encode()), dist::ProtocolError);
 }
 
 TEST(DistProtocol, ScenarioFingerprintSeparatesIncompatibleScenarios) {
@@ -411,30 +391,6 @@ TEST(DistSearch, ForkedWorkersMatchInProcessAtAnyCount) {
   }
 }
 
-TEST(DistSearch, CowPagesShipAcrossProcesses) {
-  Scenario sc = pbft_scenario();
-  sc.testbed.snapshot.mode = vm::SnapshotMode::kCow;
-  sc.testbed.snapshot.store = std::make_shared<vm::PageStore>();
-  const std::string ref = weighted_greedy_search(sc).to_json();
-
-  trace::ScopedTrace t(trace::Clock::kVirtual);
-  const std::uint64_t sent_before =
-      trace::counters().get(trace::Counter::dist_units_sent);
-  dist::Coordinator coord(sc, {});
-  dist::WorkerOptions wopt;
-  wopt.seed = 7;
-  coord.spawn_workers(2, wopt);
-  ASSERT_TRUE(coord.wait_for_workers(2, 15'000'000'000));
-  const SearchResult res =
-      weighted_greedy_search(sc, {}, nullptr, nullptr, nullptr, &coord);
-  coord.shutdown();
-  EXPECT_EQ(res.to_json(), ref)
-      << "cow-mode remote execution diverged from in-process";
-  EXPECT_GT(trace::counters().get(trace::Counter::dist_units_sent),
-            sent_before)
-      << "nothing was actually shipped; the parity check would be vacuous";
-}
-
 TEST(DistSearch, PruneOnForkedWorkersMatchesPruneOffInProcess) {
   const std::string ref = weighted_greedy_search(pbft_scenario()).to_json();
   Scenario sc = pbft_scenario();
@@ -591,7 +547,7 @@ TEST(GracefulShutdown, CancelThenResumeReproducesTheUninterruptedResult) {
 // ---------------------------------------------------------------------------
 // FleetTelemetry: the core stats block must be byte-identical whether branches
 // execute in-process or on forked workers, because execution-site counters
-// (emu_events, proxy_*, budget_aborts, cow_page_faults) travel back in v2
+// (emu_events, reassembly_evicted, proxy_*, budget_aborts) travel back in
 // ResultMsg deltas and are merged exactly once per accepted unit. Shape-
 // dependent facts (dist_*, per-worker breakdown) live in the separate fleet
 // block, which is excluded from these comparisons by design.

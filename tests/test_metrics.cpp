@@ -3,8 +3,8 @@
 // sample multiset, hence byte-identical across --jobs, prune settings, and
 // worker counts. The property tests here pin the quantile-vs-ground-truth
 // relationship against sorted vectors, merge associativity, the fixed-point
-// domain mapping, serialization round-trips (registry, MetricsCollector
-// snapshots, the netem DelayHistogram byte format), the --metric spec
+// domain mapping, serialization round-trips (MetricsCollector snapshots,
+// the netem DelayHistogram byte format), the --metric spec
 // parser, and the headline behavior: a p99 damage metric flags tail attacks
 // the mean ranks below threshold.
 #include <gtest/gtest.h>
@@ -147,34 +147,6 @@ TEST(FixedPoint, MonotoneClampedAndScaled) {
   }
 }
 
-TEST(MetricRegistry, MergeAndSerializationRoundTrip) {
-  metrics::MetricRegistry a;
-  a.histogram("latency_ms").add(metrics::to_fixed(10.0));
-  a.histogram("latency_ms").add(metrics::to_fixed(12.0));
-  a.histogram("queue_depth").add(3);
-  metrics::MetricRegistry b;
-  b.histogram("latency_ms").add(metrics::to_fixed(500.0));
-  b.histogram("rtt_us").add(77);
-
-  metrics::MetricRegistry merged = a;
-  merged.merge(b);
-  EXPECT_EQ(merged.size(), 3u);
-  ASSERT_NE(merged.find("latency_ms"), nullptr);
-  EXPECT_EQ(merged.find("latency_ms")->total(), 3u);
-  EXPECT_EQ(merged.names(),
-            (std::vector<std::string>{"latency_ms", "queue_depth", "rtt_us"}));
-
-  serial::Writer w;
-  merged.save(w);
-  const Bytes bytes = w.take();
-  serial::Reader r{BytesView(bytes)};
-  metrics::MetricRegistry loaded;
-  loaded.load(r);
-  EXPECT_TRUE(r.exhausted());
-  EXPECT_EQ(loaded, merged);
-  EXPECT_EQ(metrics::MetricRegistry{}, metrics::MetricRegistry{});
-}
-
 TEST(MetricsCollector, HistogramsSurviveSnapshotRoundTrip) {
   runtime::MetricsCollector mc;
   for (int i = 0; i < 100; ++i) {
@@ -188,13 +160,14 @@ TEST(MetricsCollector, HistogramsSurviveSnapshotRoundTrip) {
   runtime::MetricsCollector restored;
   restored.load(r);
   EXPECT_TRUE(r.exhausted());
-  EXPECT_EQ(restored.histograms(), mc.histograms());
-  ASSERT_NE(restored.histograms().find("latency_ms"), nullptr);
-  EXPECT_EQ(restored.histograms().find("latency_ms")->total(), 100u);
-  // Count metrics never grow histograms — only record() feeds the registry.
-  EXPECT_EQ(restored.histograms().find("updates"), nullptr);
-  EXPECT_EQ(restored.window_histogram("latency_ms", 0, 100 * kSecond),
-            mc.window_histogram("latency_ms", 0, 100 * kSecond));
+  // Histograms are computed from the restored samples on demand, so a
+  // restored branch reports the original's percentiles over any window.
+  const Histogram whole =
+      restored.window_histogram("latency_ms", 0, 100 * kSecond);
+  EXPECT_EQ(whole.total(), 100u);
+  EXPECT_EQ(whole, mc.window_histogram("latency_ms", 0, 100 * kSecond));
+  EXPECT_EQ(restored.window_histogram("latency_ms", 2 * kSecond, 5 * kSecond),
+            mc.window_histogram("latency_ms", 2 * kSecond, 5 * kSecond));
 }
 
 TEST(MetricsCollector, WindowHistogramMatchesWindowSamples) {

@@ -20,7 +20,6 @@
 #include "search/provenance.h"
 #include "search/telemetry.h"
 #include "systems/pbft/pbft_scenario.h"
-#include "vm/pagestore.h"
 
 namespace turret::search {
 namespace {
@@ -63,10 +62,6 @@ Scenario prune_scenario(bool prune) {
   sc.actions.divert = false;
   sc.actions.lie_random = false;
   sc.actions.relative_operands = {1000};
-  // Cow snapshots over a fresh content-addressed store: the fleet fingerprint
-  // reuses the store's page keys, so this is the mode pruning is built for.
-  sc.testbed.snapshot.mode = vm::SnapshotMode::kCow;
-  sc.testbed.snapshot.store = std::make_shared<vm::PageStore>();
   sc.prune.enabled = prune;
   return sc;
 }

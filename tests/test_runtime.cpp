@@ -4,6 +4,7 @@
 
 #include "runtime/metrics.h"
 #include "runtime/testbed.h"
+#include "serial/serial.h"
 
 namespace turret::runtime {
 namespace {
@@ -266,6 +267,111 @@ TEST(Testbed, DoubleStartIsAPlatformBug) {
   Testbed tb(two_nodes(), [](NodeId) { return std::make_unique<Worker>(); });
   tb.start();
   EXPECT_THROW(tb.start(), std::logic_error);
+}
+
+// --- Testbed snapshot encoding ---------------------------------------------
+
+// A guest that accumulates visible state from traffic and timers, so a bad
+// restore shows up as diverging counters.
+struct PingPong : vm::GuestNode {
+  int msgs = 0;
+  int fires = 0;
+  Bytes log;
+
+  void start(vm::GuestContext& ctx) override {
+    ctx.set_timer(1, 10 * kMillisecond);
+  }
+  void on_message(vm::GuestContext& ctx, NodeId src, BytesView m) override {
+    ++msgs;
+    log.insert(log.end(), m.begin(), m.end());
+    ctx.count("received");
+    ctx.record("log_bytes", static_cast<double>(log.size()));
+    if (!m.empty() && m[0] == 'p') ctx.send(src, to_bytes("q"));
+  }
+  void on_timer(vm::GuestContext& ctx, std::uint64_t) override {
+    ++fires;
+    // Keep traffic flowing so state keeps changing between snapshots.
+    ctx.send((ctx.self() + 1) % ctx.cluster_size(), to_bytes("p"));
+    ctx.set_timer(1, 10 * kMillisecond);
+  }
+  void save(serial::Writer& w) const override {
+    w.i32(msgs);
+    w.i32(fires);
+    w.bytes(log);
+  }
+  void load(serial::Reader& r) override {
+    msgs = r.i32();
+    fires = r.i32();
+    log = r.bytes();
+  }
+  std::string_view kind() const override { return "pingpong"; }
+};
+
+TestbedConfig pingpong_fleet() {
+  TestbedConfig cfg;
+  cfg.net.nodes = 3;
+  cfg.net.default_link.delay = kMillisecond;
+  return cfg;
+}
+
+GuestFactory pingpong_factory() {
+  return [](NodeId) { return std::make_unique<PingPong>(); };
+}
+
+void expect_same_world(Testbed& a, Testbed& b) {
+  for (NodeId id = 0; id < a.nodes(); ++id) {
+    const auto& ga = dynamic_cast<const PingPong&>(a.machine(id).guest());
+    const auto& gb = dynamic_cast<const PingPong&>(b.machine(id).guest());
+    EXPECT_EQ(ga.msgs, gb.msgs) << "node " << id;
+    EXPECT_EQ(ga.fires, gb.fires) << "node " << id;
+    EXPECT_EQ(ga.log, gb.log) << "node " << id;
+  }
+  EXPECT_EQ(a.now(), b.now());
+  EXPECT_DOUBLE_EQ(a.metrics().total("received", 0, 10 * kSecond),
+                   b.metrics().total("received", 0, 10 * kSecond));
+  EXPECT_EQ(a.metrics().points("log_bytes", 0, 10 * kSecond).size(),
+            b.metrics().points("log_bytes", 0, 10 * kSecond).size());
+}
+
+TEST(TestbedSnapshot, RoundTripsAndContinuesIdentically) {
+  Testbed original(pingpong_fleet(), pingpong_factory());
+  original.start();
+  original.run_for(300 * kMillisecond);
+  const Bytes snap = original.save_snapshot();
+
+  // The original continues; a fresh testbed restored from the blob must
+  // evolve identically (same virtual clock, same traffic, same state).
+  original.run_for(300 * kMillisecond);
+  Testbed restored(pingpong_fleet(), pingpong_factory());
+  restored.load_snapshot(snap);
+  restored.run_for(300 * kMillisecond);
+  expect_same_world(original, restored);
+  EXPECT_EQ(restored.save_snapshot(), original.save_snapshot());
+
+  // And the restored world snapshots/restores again without loss.
+  const Bytes snap2 = restored.save_snapshot();
+  Testbed again(pingpong_fleet(), pingpong_factory());
+  again.load_snapshot(snap2);
+  again.run_for(100 * kMillisecond);
+  restored.run_for(100 * kMillisecond);
+  expect_same_world(restored, again);
+}
+
+TEST(TestbedSnapshot, DecodeRejectsEveryTruncationAndATrailingByte) {
+  Testbed tb(pingpong_fleet(), pingpong_factory());
+  tb.start();
+  tb.run_for(200 * kMillisecond);
+  const Bytes snap = tb.save_snapshot();
+  ASSERT_NO_THROW(Testbed::decode_snapshot(snap));
+
+  for (std::size_t n = 0; n < snap.size(); ++n) {
+    EXPECT_THROW(Testbed::decode_snapshot(BytesView(snap.data(), n)),
+                 serial::SerialError)
+        << "prefix of " << n << " of " << snap.size() << " bytes";
+  }
+  Bytes trailing = snap;
+  trailing.push_back(0);
+  EXPECT_THROW(Testbed::decode_snapshot(trailing), serial::SerialError);
 }
 
 }  // namespace

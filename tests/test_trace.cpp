@@ -264,8 +264,8 @@ TEST(CounterTable, PerWorkerListsExactlyTheExecutionSiteRows) {
   ASSERT_NE(fleet.find("\"per_worker\":["), std::string::npos);
   EXPECT_EQ(fleet.substr(fleet.find("\"per_worker\":[")), want);
   // budget_aborts, emu_events, reassembly_evicted, proxy_observed,
-  // proxy_injected, cow_page_faults, dist_bytes_sent, dist_bytes_recv.
-  EXPECT_EQ(sites, 8u);
+  // proxy_injected, dist_bytes_sent, dist_bytes_recv.
+  EXPECT_EQ(sites, 7u);
 }
 
 // The dist wire format of a counter snapshot: a u32 row count, then one u64
@@ -277,11 +277,11 @@ TEST(CounterTable, WireEncodingIsTheRowCountThenOneU64PerRow) {
   serial::Writer got;
   trace::save_counters(s, got);
   serial::Writer want;
-  want.u32(39);
-  for (std::uint64_t i = 1; i <= 39; ++i) want.u64(i);
+  want.u32(34);
+  for (std::uint64_t i = 1; i <= 34; ++i) want.u64(i);
   const Bytes bytes = got.take();
   EXPECT_EQ(bytes, want.take());
-  EXPECT_EQ(bytes.size(), 4u + 39u * 8u);
+  EXPECT_EQ(bytes.size(), 4u + 34u * 8u);
 
   serial::Reader r(bytes);
   const trace::CounterSnapshot back = trace::load_counters(r);

@@ -2,6 +2,8 @@
 // paging, and the page-sharing snapshot manager.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "vm/machine.h"
 #include "vm/memory.h"
 #include "vm/snapshot.h"
@@ -222,6 +224,114 @@ TEST(Snapshot, FileStoreRoundTrips) {
   SnapshotManager::load_shared(rp, store, "f");
   EXPECT_EQ(restored[0].raw(), fleet[0].raw());
   EXPECT_EQ(restored[1].raw(), fleet[1].raw());
+}
+
+// --- KsmIndex hardening and snapshot corruption -----------------------------
+
+TEST(KsmIndex, SafeDefaultsBeforeScan) {
+  KsmIndex ksm;
+  EXPECT_FALSE(ksm.scanned());
+  EXPECT_FALSE(ksm.is_shared(0, 0));
+  EXPECT_EQ(ksm.page_key(0, 0), 0u);
+  EXPECT_TRUE(ksm.canonical().empty());
+}
+
+TEST(KsmIndex, OutOfRangeQueriesAreSafeAfterScan) {
+  std::vector<MemoryImage> fleet(2);
+  for (std::size_t i = 0; i < 2; ++i)
+    fleet[i].materialize(small_profile(), i + 1, to_bytes("s"));
+  std::vector<const MemoryImage*> ptrs{&fleet[0], &fleet[1]};
+  KsmIndex ksm;
+  ksm.scan(ptrs);
+  EXPECT_TRUE(ksm.scanned());
+  EXPECT_FALSE(ksm.is_shared(99, 0));
+  EXPECT_FALSE(ksm.is_shared(0, 99999));
+  EXPECT_EQ(ksm.page_key(99, 0), 0u);
+  EXPECT_EQ(ksm.page_key(0, 99999), 0u);
+  // In-range OS pages are shared across the two VMs.
+  EXPECT_TRUE(ksm.is_shared(0, 0));
+  EXPECT_NE(ksm.page_key(0, 0), 0u);
+}
+
+TEST(SnapshotErrors, LoadSharedMissingResidualBlob) {
+  auto fleet = make_fleet(2);
+  std::vector<const MemoryImage*> ptrs{&fleet[0], &fleet[1]};
+  MemoryBlobStore store;
+  SnapshotManager::save_shared(ptrs, store, "t");
+
+  std::vector<MemoryImage> restored(3);  // one VM more than was saved
+  std::vector<MemoryImage*> rp{&restored[0], &restored[1], &restored[2]};
+  EXPECT_THROW(SnapshotManager::load_shared(rp, store, "t"), std::logic_error);
+}
+
+TEST(SnapshotErrors, LoadSharedTruncatedSharedMap) {
+  auto fleet = make_fleet(2);
+  std::vector<const MemoryImage*> ptrs{&fleet[0], &fleet[1]};
+  MemoryBlobStore store;
+  SnapshotManager::save_shared(ptrs, store, "t");
+
+  Bytes map = store.get("t.shared");
+  ASSERT_FALSE(map.empty());
+  map.pop_back();  // no longer a whole number of (hash, page) records
+  store.put("t.shared", map);
+
+  std::vector<MemoryImage> restored(2);
+  std::vector<MemoryImage*> rp{&restored[0], &restored[1]};
+  EXPECT_THROW(SnapshotManager::load_shared(rp, store, "t"),
+               serial::SerialError);
+}
+
+TEST(SnapshotErrors, LoadSharedMissingSharedPage) {
+  auto fleet = make_fleet(2);
+  std::vector<const MemoryImage*> ptrs{&fleet[0], &fleet[1]};
+  MemoryBlobStore store;
+  SnapshotManager::save_shared(ptrs, store, "t");
+
+  store.put("t.shared", Bytes{});  // drop the whole map: every ref dangles
+  std::vector<MemoryImage> restored(2);
+  std::vector<MemoryImage*> rp{&restored[0], &restored[1]};
+  EXPECT_THROW(SnapshotManager::load_shared(rp, store, "t"),
+               serial::SerialError);
+}
+
+TEST(SnapshotErrors, LoadSharedTruncatedResidual) {
+  auto fleet = make_fleet(2);
+  std::vector<const MemoryImage*> ptrs{&fleet[0], &fleet[1]};
+  MemoryBlobStore store;
+  SnapshotManager::save_shared(ptrs, store, "t");
+
+  Bytes residual = store.get("t.vm0");
+  residual.resize(residual.size() / 2);
+  store.put("t.vm0", residual);
+
+  std::vector<MemoryImage> restored(2);
+  std::vector<MemoryImage*> rp{&restored[0], &restored[1]};
+  EXPECT_THROW(SnapshotManager::load_shared(rp, store, "t"),
+               serial::SerialError);
+}
+
+TEST(SnapshotErrors, LoadPlainPageCountMismatch) {
+  auto fleet = make_fleet(1);
+  std::vector<const MemoryImage*> ptrs{&fleet[0]};
+  MemoryBlobStore store;
+  SnapshotManager::save_plain(ptrs, store, "t");
+
+  // Bump the page count without providing the pages.
+  Bytes blob = store.get("t.vm0");
+  serial::Reader r(blob);
+  MemoryImage scratch;
+  scratch.load_meta(r);
+  const std::size_t count_off = r.position();
+  std::uint32_t pages;
+  std::memcpy(&pages, blob.data() + count_off, 4);
+  ++pages;
+  std::memcpy(blob.data() + count_off, &pages, 4);
+  store.put("t.vm0", blob);
+
+  std::vector<MemoryImage> restored(1);
+  std::vector<MemoryImage*> rp{&restored[0]};
+  EXPECT_THROW(SnapshotManager::load_plain(rp, store, "t"),
+               serial::SerialError);
 }
 
 // Property: shared-mode reduction grows with fleet size (more VMs share the
