@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Runs the search-layer benchmark suite and writes a single machine-readable
-# summary, BENCH_search.json, at the repository root (schema_version 7,
-# documented in EXPERIMENTS.md). bench_parallel_search, bench_prune_search,
-# bench_dist_search and bench_capacity run at full length — the scaling,
-# pruning, distributed and tail-capacity results the summary exists for —
+# summary, BENCH_search.json, at the repository root (schema_version 8,
+# documented in EXPERIMENTS.md). bench_parallel_search, bench_dist_search
+# and bench_capacity run at full length — the scaling, distributed and
+# tail-capacity results the summary exists for —
 # the fig4 microbench runs in
 # quick mode (short min-time), and the table benches emit structured
 # JSON via their --json flags.
@@ -16,7 +16,7 @@ BUILD_DIR="${1:-build}"
 QUICK_MIN_TIME="${TURRET_BENCH_MIN_TIME:-0.05}"
 
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
-  bench_parallel_search bench_prune_search bench_dist_search \
+  bench_parallel_search bench_dist_search \
   bench_capacity bench_fig4_netdevice bench_emulator bench_table2_snapshot \
   bench_table3_search >/dev/null
 
@@ -25,9 +25,6 @@ trap 'rm -rf "$TMP"' EXIT
 
 # JSON Lines, one object per {system, algorithm} pair.
 "$BUILD_DIR/bench/bench_parallel_search" >"$TMP/parallel_search.jsonl"
-
-# Branch-equivalence pruning: prune off vs on per algorithm (JSON Lines).
-"$BUILD_DIR/bench/bench_prune_search" >"$TMP/prune_search.jsonl"
 
 # Distributed runtime: in-process vs coordinator + N forked workers, with
 # byte-identity asserted per worker count (JSON Lines).
@@ -66,9 +63,6 @@ def load(name):
 with open(path("parallel_search.jsonl")) as f:
     parallel = [json.loads(line) for line in f if line.strip()]
 
-with open(path("prune_search.jsonl")) as f:
-    prune = [json.loads(line) for line in f if line.strip()]
-
 with open(path("dist_search.jsonl")) as f:
     distributed = [json.loads(line) for line in f if line.strip()]
 
@@ -86,11 +80,10 @@ fig4_trimmed = {
 }
 
 out = {
-    "schema_version": 7,
+    "schema_version": 8,
     "emulator": load("emulator.json"),
     "capacity": load("capacity.json"),
     "parallel_search": parallel,
-    "prune": prune,
     "distributed": distributed,
     "microbench": {
         "fig4_netdevice": fig4_trimmed,

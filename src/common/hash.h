@@ -22,9 +22,10 @@ std::uint64_t mix64(std::uint64_t x);
 std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b);
 
 /// A 128-bit digest: two independently-derived 64-bit lanes. Used where a
-/// single 64-bit hash leaves too much collision headroom (the fleet-state
-/// prune key, the decoded-snapshot cache key); consumers that cannot afford
-/// even a 2^-128 collision keep byte-compare chains as the backstop.
+/// single 64-bit hash leaves too much collision headroom (the snapshot
+/// content key of the decoded-snapshot cache and the branch memo); consumers
+/// that cannot afford even a 2^-128 collision keep byte-compare chains as the
+/// backstop.
 struct Digest128 {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;

@@ -7,8 +7,8 @@
 // increment of bucket min(bit_width(v), N-1), merge() is element-wise
 // addition, and quantile() walks the buckets to the requested rank and
 // returns the bucket's *exact lower bound* — a pure function of the sample
-// multiset, so p50/p95/p99/p999 are byte-identical across --jobs, prune
-// settings, and worker counts. The price is log2 resolution: the reported
+// multiset, so p50/p95/p99/p999 are byte-identical across --jobs and
+// worker counts. The price is log2 resolution: the reported
 // quantile q satisfies quantile(q) <= true_q < 2*quantile(q) (+1 for the
 // bucket-0/1 boundary), which the property tests pin down.
 //

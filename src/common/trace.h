@@ -90,13 +90,8 @@ enum class Block : std::uint8_t { kStats, kPhase, kFleet };
   X(snapshot_saves, "snapshot_saves", kStats, false)                        \
   X(snapshot_loads, "snapshot_loads", kStats, false)                        \
   X(snapshot_bytes_written, "snapshot_bytes_written", kStats, false)        \
-  /* Pruning: branches served by the table, its size (gauge), fleet      */ \
-  /* fingerprints, virtual time run to settle points and time avoided    */ \
+  /* Branches served by the memo instead of executing */                    \
   X(branches_pruned, "branches_pruned", kStats, false)                      \
-  X(prune_table_entries, "prune_table_entries", kStats, false)              \
-  X(fingerprints, "fingerprints", kStats, false)                            \
-  X(prune_settle_ns, "prune_settle_ns", kStats, false)                      \
-  X(prune_skipped_ns, "prune_skipped_ns", kStats, false)                    \
   /* Decode-cache digest matches settled by bytes; longest chain (gauge) */ \
   X(hash_collisions, "hash_collisions", kStats, false)                      \
   X(hash_chain_max, "hash_chain_max", kStats, false)                        \
@@ -162,9 +157,6 @@ class Counters {
  public:
   void add(Counter c, std::uint64_t n) {
     at(c).fetch_add(n, std::memory_order_relaxed);
-  }
-  void set(Counter c, std::uint64_t v) {
-    at(c).store(v, std::memory_order_relaxed);
   }
   void raise(Counter c, std::uint64_t v);  ///< set to max(current, v)
   std::uint64_t get(Counter c) const {
@@ -274,11 +266,6 @@ inline Counters& counters() { return Tracer::instance().counters(); }
 /// tracing is disarmed it costs the relaxed load in active().
 inline void add(Counter c, std::uint64_t n = 1) {
   if (active()) counters().add(c, n);
-}
-
-/// Store gauge `c`'s latest value.
-inline void set_gauge(Counter c, std::uint64_t v) {
-  if (active()) counters().set(c, v);
 }
 
 /// Raise gauge `c` to at least `v` (a high-water mark).

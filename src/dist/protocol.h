@@ -58,7 +58,8 @@ constexpr std::uint32_t kFrameMagic = 0x31464454;  // "TDF1"
 constexpr std::uint32_t kMaxFramePayload = 256u << 20;
 // v2: ResultMsg carries an optional telemetry CounterSnapshot delta.
 // v3: WorkMsg carries no page deltas; the counter frame has 34 rows.
-constexpr std::uint32_t kProtocolVersion = 3;
+// v4: the counter frame has 30 rows (the prune counters are gone).
+constexpr std::uint32_t kProtocolVersion = 4;
 
 struct Frame {
   FrameType type = FrameType::kHello;

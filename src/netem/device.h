@@ -42,12 +42,6 @@ class NetDevice {
   virtual DeviceKind kind() const = 0;
   virtual std::string_view name() const = 0;
 
-  /// Functional device state that affects future packet handling (not the
-  /// stats, which are observability-only). Folded into the fleet-state
-  /// fingerprint: two branches whose devices would treat the next packet
-  /// differently must fingerprint differently.
-  virtual std::uint64_t state_fingerprint() const { return 0; }
-
   const DeviceStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
@@ -76,7 +70,6 @@ class CsmaDevice final : public NetDevice {
   Duration receive(const Packet& p) override;
   DeviceKind kind() const override { return DeviceKind::kCsma; }
   std::string_view name() const override { return "csma"; }
-  std::uint64_t state_fingerprint() const override { return backoff_state_; }
 
  private:
   std::uint32_t channel_size_;

@@ -505,87 +505,4 @@ void Emulator::load(serial::Reader& r) {
   }
 }
 
-void Emulator::fingerprint(Hasher128& h, Time horizon) const {
-  h.update_i64(now_);
-
-  // Events past the horizon can never dispatch inside this branch's
-  // observation windows (run_until stops at the horizon), so they are
-  // excluded — this is what lets "drop" collapse with "delay past the end
-  // of the windows": the delayed release event sits beyond the horizon.
-  std::vector<const Event*> pending;
-  pending.reserve(queue_.size());
-  for (const Event* e : queue_.sorted()) {
-    if (e->at <= horizon) pending.push_back(e);
-  }
-
-  // Dense renumbering of msg_ids by first appearance (dispatch order, then
-  // reassembly keys): msg_id 0 is the "no message" marker and maps to 0.
-  std::map<std::uint64_t, std::uint64_t> canon;
-  canon.emplace(0, 0);
-  const auto canon_id = [&canon](std::uint64_t id) {
-    const std::uint64_t next = canon.size();
-    return canon.emplace(id, next).first->second;
-  };
-
-  h.update_u64(pending.size());
-  for (const Event* e : pending) {
-    h.update_i64(e->at);
-    h.update_u64(static_cast<std::uint64_t>(e->kind));
-    h.update_u64(e->node);
-    // kReassemblyExpire carries the msg_id it will reap in `a`; renumber it
-    // like every other msg_id so equivalent branches digest identically.
-    h.update_u64(e->kind == EventKind::kReassemblyExpire ? canon_id(e->a)
-                                                         : e->a);
-    h.update_u64(e->b);
-    const Packet& p = e->packet;
-    h.update_u64(p.src);
-    h.update_u64(p.dst);
-    h.update_u64(canon_id(p.msg_id));
-    h.update_u64(p.frag_index);
-    h.update_u64(p.frag_count);
-    h.update_u64(p.msg_bytes);
-    h.update(p.payload);
-  }
-
-  const std::vector<std::uint64_t> ids = sorted_reassembly_ids();
-  h.update_u64(ids.size());
-  for (const std::uint64_t id : ids) {
-    const Reassembly& re = *reassembly_.find(id);
-    h.update_u64(canon_id(id));
-    h.update_u64(re.received);
-    h.update(materialize_reassembly(re));
-    h.update_u64(re.have.size());
-    std::uint64_t bits = 0;
-    int filled = 0;
-    for (const bool have : re.have) {
-      bits = (bits << 1) | static_cast<std::uint64_t>(have);
-      if (++filled == 64) {
-        h.update_u64(bits);
-        bits = 0;
-        filled = 0;
-      }
-    }
-    if (filled > 0) h.update_u64(bits);
-  }
-
-  // Occupancy already in the past is indistinguishable from an idle link.
-  for (const LinkState& l : links_) {
-    h.update_i64(std::max(l.busy_until, now_));
-  }
-  for (const auto& dev : devices_) h.update_u64(dev->state_fingerprint());
-
-  // The loss RNG only shapes the future when some link can actually lose
-  // packets; hashing it unconditionally would block collapses for the
-  // (default) loss-free topologies where its cursor position is irrelevant.
-  bool lossy = cfg_.default_link.loss_rate > 0;
-  for (const auto& [key, spec] : cfg_.link_overrides) {
-    lossy = lossy || spec.loss_rate > 0;
-  }
-  if (lossy) {
-    std::uint64_t rng_state[4];
-    loss_rng_.save_state(rng_state);
-    for (const std::uint64_t s : rng_state) h.update_u64(s);
-  }
-}
-
 }  // namespace turret::netem

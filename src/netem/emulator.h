@@ -21,7 +21,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/msgbuf.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -205,17 +204,6 @@ class Emulator {
   /// same NetConfig.
   void load(serial::Reader& r);
 
-  /// Fold the network's *behavioral* state into `h`: every pending event
-  /// that can still dispatch at or before `horizon`, in dispatch order, plus
-  /// reassembly buffers, link occupancy, device state, and (when some link
-  /// is lossy) the loss RNG. Absolute counters that differ between
-  /// behaviorally identical branches — event seq numbers, msg_id allocation
-  /// — are canonicalized: order stands in for seq, and msg_ids are
-  /// renumbered densely by first appearance. Statistics, the flight
-  /// recorder, and interceptor state are observability, not behavior, and
-  /// are excluded. Used by the branch-equivalence prune key.
-  void fingerprint(Hasher128& h, Time horizon) const;
-
   const EmulatorStats& stats() const { return stats_; }
   const NetDevice& device(NodeId node) const { return *devices_.at(node); }
 
@@ -260,12 +248,12 @@ class Emulator {
   /// The completed message: a zero-copy rejoin of the shared parent buffer
   /// when possible, one materializing copy otherwise.
   MessageBuf reassemble(const Reassembly& re) const;
-  /// The canonical full-size buffer (holes zeroed) snapshot save and
-  /// fingerprints hash — byte-identical to the old copy-into-place layout.
+  /// The canonical full-size buffer (holes zeroed) snapshot save writes —
+  /// byte-identical to the old copy-into-place layout.
   Bytes materialize_reassembly(const Reassembly& re) const;
   /// Keys of reassembly_ in ascending order (the canonical iteration order
-  /// snapshot save and fingerprints require; the flat table itself iterates
-  /// in probe order).
+  /// snapshot save requires; the flat table itself iterates in probe
+  /// order).
   std::vector<std::uint64_t> sorted_reassembly_ids() const;
   Bytes snap_head(BytesView payload) const;
 

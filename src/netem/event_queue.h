@@ -94,7 +94,7 @@ class EventQueue {
   void clear();
 
   /// Every pending event in canonical (at, seq) order — the serialization
-  /// and fingerprint view. O(n log n); cold path only.
+  /// view. O(n log n); cold path only.
   std::vector<const Event*> sorted() const;
 
   /// Pool nodes currently acquired: size() plus the event being dispatched

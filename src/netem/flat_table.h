@@ -9,8 +9,8 @@
 // id within a feasible execution.
 //
 // Iteration order is the probe layout (insertion-history dependent), so any
-// consumer that feeds canonical artifacts — snapshot save, fingerprints —
-// must sort keys first; the emulator does (see Emulator::save/fingerprint).
+// consumer that feeds canonical artifacts — snapshot save — must sort keys
+// first; the emulator does (see Emulator::save).
 #pragma once
 
 #include <cstdint>

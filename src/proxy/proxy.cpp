@@ -1,7 +1,5 @@
 #include "proxy/proxy.h"
 
-#include <bit>
-
 #include "common/check.h"
 #include "common/fault.h"
 #include "common/hash.h"
@@ -218,185 +216,6 @@ void MaliciousProxy::save_state(serial::Writer& w) const {
   w.u64(stats_.undecodable);
   w.boolean(audit_ != nullptr);
   if (audit_ != nullptr) audit_->save(w);
-}
-
-void MaliciousProxy::residual_fingerprint(Hasher128& h,
-                                          Duration remaining) const {
-  const auto fold_rng = [&h, this] {
-    std::uint64_t state[4];
-    rng_.save_state(state);
-    for (const std::uint64_t s : state) h.update_u64(s);
-  };
-  const auto fold_double = [&h](double v) {
-    h.update_u64(std::bit_cast<std::uint64_t>(v));
-  };
-
-  if (!action_) {
-    h.update(std::string_view("pass"));
-    return;
-  }
-  const MaliciousAction& a = *action_;
-  switch (a.kind) {
-    case ActionKind::kDrop:
-      if (a.drop_probability >= 1.0) {
-        // Every future matching message vanishes; the RNG still draws per
-        // message but the draw cannot change any delivery.
-        h.update(std::string_view("suppress"));
-        h.update_u64(a.target_tag);
-      } else if (a.drop_probability <= 0.0) {
-        h.update(std::string_view("pass"));
-      } else {
-        h.update(std::string_view("droprand"));
-        h.update_u64(a.target_tag);
-        fold_double(a.drop_probability);
-        fold_rng();
-      }
-      return;
-
-    case ActionKind::kDelay:
-      if (a.delay > remaining) {
-        // Released past the horizon: within this branch's observation
-        // windows the message might as well have been dropped.
-        h.update(std::string_view("suppress"));
-        h.update_u64(a.target_tag);
-      } else {
-        h.update(std::string_view("delay"));
-        h.update_u64(a.target_tag);
-        h.update_i64(a.delay);
-      }
-      return;
-
-    case ActionKind::kDivert:
-      if (cluster_size_ <= 1) {
-        // on_send passes diverts through in a one-node cluster.
-        h.update(std::string_view("pass"));
-        return;
-      }
-      h.update(std::string_view("divert"));
-      h.update_u64(a.target_tag);
-      fold_rng();
-      return;
-
-    case ActionKind::kDuplicate:
-      h.update(std::string_view("dup"));
-      h.update_u64(a.target_tag);
-      h.update_u64(a.copies);
-      return;
-
-    case ActionKind::kLie: {
-      const wire::MessageSpec* spec = schema_.by_tag(a.target_tag);
-      if (spec == nullptr || a.field_index >= spec->fields.size()) {
-        // Nothing decodable to forge: conservative, keyed on the raw action.
-        h.update(std::string_view("lie?"));
-        h.update(a.describe());
-        return;
-      }
-      const wire::FieldType type = spec->fields[a.field_index].type;
-      h.update(std::string_view("lie"));
-      h.update_u64(a.target_tag);
-      h.update_u64(a.field_index);
-
-      if (type == wire::FieldType::kBool) {
-        // mutate_field flips booleans under every strategy.
-        h.update(std::string_view("flipbool"));
-        return;
-      }
-      if (type == wire::FieldType::kBytes) {
-        h.update(std::string_view("lie?"));
-        h.update(a.describe());
-        return;
-      }
-
-      if (wire::is_float(type)) {
-        const double limit = (type == wire::FieldType::kF32)
-                                 ? 3.4028234e38
-                                 : 1.7976931348623157e308;
-        switch (a.strategy) {
-          case LieStrategy::kMin:
-            h.update(std::string_view("fset"));
-            fold_double(-limit);
-            return;
-          case LieStrategy::kMax:
-            h.update(std::string_view("fset"));
-            fold_double(limit);
-            return;
-          case LieStrategy::kSpanning:
-            h.update(std::string_view("fset"));
-            fold_double(static_cast<double>(a.operand));
-            return;
-          case LieStrategy::kAdd:
-            h.update(std::string_view("fadd"));
-            fold_double(static_cast<double>(a.operand));
-            return;
-          case LieStrategy::kSub:
-            // orig - op == orig + (-op): same future wire bytes as kAdd of
-            // the negated operand.
-            h.update(std::string_view("fadd"));
-            fold_double(-static_cast<double>(a.operand));
-            return;
-          case LieStrategy::kMul:
-            h.update(std::string_view("fmul"));
-            fold_double(static_cast<double>(a.operand));
-            return;
-          case LieStrategy::kFlip:
-            h.update(std::string_view("fneg"));
-            return;
-          case LieStrategy::kRandom:
-            h.update(std::string_view("frand"));
-            fold_rng();
-            return;
-        }
-        return;
-      }
-
-      // Integer lies: absolute strategies canonicalize to the value masked
-      // to the field's wire width — encode() narrows with two's-complement
-      // wrap, so e.g. kMax and kSpanning(-1) forge identical bytes into an
-      // unsigned field.
-      const std::size_t bits = wire::scalar_size(type) * 8;
-      const std::uint64_t mask =
-          bits >= 64 ? ~0ull : ((1ull << bits) - 1);
-      const auto masked = [mask](std::int64_t v) {
-        return static_cast<std::uint64_t>(v) & mask;
-      };
-      switch (a.strategy) {
-        case LieStrategy::kMin:
-          h.update(std::string_view("iset"));
-          h.update_u64(masked(wire::integer_min(type)));
-          return;
-        case LieStrategy::kMax:
-          h.update(std::string_view("iset"));
-          h.update_u64(wire::integer_max(type) & mask);
-          return;
-        case LieStrategy::kSpanning:
-          h.update(std::string_view("iset"));
-          h.update_u64(masked(a.operand));
-          return;
-        case LieStrategy::kAdd:
-          h.update(std::string_view("iadd"));
-          h.update_u64(static_cast<std::uint64_t>(a.operand));
-          return;
-        case LieStrategy::kSub:
-          h.update(std::string_view("iadd"));
-          h.update_u64(-static_cast<std::uint64_t>(a.operand));
-          return;
-        case LieStrategy::kMul:
-          h.update(std::string_view("imul"));
-          h.update_i64(a.operand);
-          return;
-        case LieStrategy::kFlip:
-          h.update(std::string_view("inot"));
-          return;
-        case LieStrategy::kRandom:
-          h.update(std::string_view("irand"));
-          fold_rng();
-          return;
-      }
-      return;
-    }
-  }
-  // Unknown kind: conservative.
-  h.update(a.describe());
 }
 
 void MaliciousProxy::load_state(serial::Reader& r) {

@@ -14,7 +14,6 @@
 #include <optional>
 #include <set>
 
-#include "common/hash.h"
 #include "common/rng.h"
 #include "netem/emulator.h"
 #include "proxy/action.h"
@@ -80,17 +79,6 @@ class MaliciousProxy final : public netem::IngressInterceptor {
   /// keep pre-snapshot totals.
   void save_state(serial::Writer& w) const override;
   void load_state(serial::Reader& r) override;
-
-  /// Fold the canonical identity of the armed action's *future* behavior
-  /// into `h`, given `remaining` virtual time until the branch's horizon.
-  /// Actions that cannot affect any delivery inside the horizon digest
-  /// identically — a certain drop and a delay past the horizon both become
-  /// "suppress", lies canonicalize to the wire bytes they would produce
-  /// (min/max/spanning overlap on unsigned fields) — which is what lets the
-  /// branch-equivalence pruner collapse them. Statistics and the audit log
-  /// are observability, not behavior, and are excluded; the proxy RNG is
-  /// folded in only for strategies whose future output depends on it.
-  void residual_fingerprint(Hasher128& h, Duration remaining) const;
 
  private:
   Bytes apply_lie(BytesView message, std::vector<wire::FieldDiff>* diffs);

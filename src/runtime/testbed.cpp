@@ -1,6 +1,5 @@
 #include "runtime/testbed.h"
 
-#include <bit>
 #include <limits>
 
 #include "common/check.h"
@@ -252,54 +251,6 @@ Bytes Testbed::save_snapshot() {
   Bytes blob = w.take();
   trace::add(trace::Counter::snapshot_bytes_written, blob.size());
   return blob;
-}
-
-Digest128 Testbed::fleet_fingerprint(Time from_time, Time horizon) {
-  // Same stop-the-world discipline as save_snapshot, minus any serialization
-  // of the full system: freeze, walk, resume. Nothing here perturbs future
-  // execution, so a branch that continues running afterwards behaves exactly
-  // as if the fingerprint had never been taken.
-  emu_.freeze();
-  for (auto& vm : vms_) vm->pause();
-
-  Hasher128 h;
-  h.update_u64(vms_.size());
-  for (const auto& vm : vms_) {
-    serial::Writer section;
-    vm->save(section);
-    h.update_u64(section.data().size());
-    h.update(section.data());
-  }
-
-  emu_.fingerprint(h, horizon);
-
-  // Timer generations disambiguate pending kTimer events (a stale generation
-  // means "cancelled"); two branches with identical queues but different
-  // cancellation state must not collapse.
-  h.update_u64(timer_gen_.size());
-  for (const auto& [key, gen] : timer_gen_) {
-    h.update_u64(key.first);
-    h.update_u64(key.second);
-    h.update_u64(gen);
-  }
-
-  // Metric samples from the injection on feed the branch's window
-  // measurements; earlier history is identical by construction (both
-  // branches restored the same snapshot).
-  for (const std::string& name : metrics_.metric_names()) {
-    const std::vector<MetricPoint> pts =
-        metrics_.points(name, from_time, horizon);
-    h.update(std::string_view(name));
-    h.update_u64(pts.size());
-    for (const MetricPoint& p : pts) {
-      h.update_i64(p.t);
-      h.update_u64(std::bit_cast<std::uint64_t>(p.v));
-    }
-  }
-
-  for (auto& vm : vms_) vm->resume();
-  emu_.resume();
-  return h.digest();
 }
 
 DecodedSnapshot Testbed::decode_snapshot(BytesView snapshot,

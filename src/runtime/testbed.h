@@ -20,7 +20,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/types.h"
 #include "netem/emulator.h"
 #include "runtime/metrics.h"
@@ -119,16 +118,6 @@ class Testbed final : public netem::MessageSink {
   /// one VirtualMachine::save section per VM, then the emulator, the timer
   /// generations and the metrics.
   Bytes save_snapshot();
-
-  /// Deterministic digest of the fleet's *behavioral* state: every VM's
-  /// serialized state, the emulator's pending events up to `horizon`
-  /// (canonicalized, see Emulator::fingerprint), timer generations, and
-  /// metric samples from `from_time` on (earlier samples are shared snapshot
-  /// history; later ones feed the branch's window measurements). Freezes and
-  /// resumes the world around the walk; execution is undisturbed.
-  /// Interceptor (proxy) state is NOT included — the caller folds its
-  /// canonical residual separately.
-  Digest128 fleet_fingerprint(Time from_time, Time horizon);
 
   /// Parse a save_snapshot() blob into its sections. Pure function of the
   /// blob; safe to call from any thread. A truncated blob, or one with

@@ -187,7 +187,7 @@ SearchResult brute_force_search(const Scenario& sc, Journal* journal,
   // Brute force cannot branch, so its injection points are cold: every
   // execution, the per-type baseline included, is a fresh run from t = 0
   // with the action armed from the start. The executor runs, retries,
-  // prunes, charges and journals them like any other branch.
+  // charges and journals them like any other branch.
   for (const wire::TypeTag tag : order) {
     const wire::MessageSpec* spec = sc.schema->by_tag(tag);
     if (spec == nullptr) continue;
@@ -215,7 +215,8 @@ SearchResult brute_force_search(const Scenario& sc, Journal* journal,
     const std::vector<BranchResult> runs = exec.run_branches(ip, ptrs, 2);
 
     // Replay the serial cost clock: each run pays its own charge, so
-    // found_after is the same whether runs executed, pruned or replayed.
+    // found_after is the same whether runs executed, hit the memo or
+    // replayed.
     for (std::size_t i = 0; i < runs.size(); ++i) {
       running += runs[i].charged;
       if (!base.ok() || !runs[i].ok()) continue;

@@ -16,6 +16,7 @@
 #include "common/trace.h"
 #include "search/journal.h"
 #include "search/provenance.h"
+#include "serial/serial.h"
 
 namespace turret::search {
 
@@ -62,15 +63,12 @@ Bytes encode_branch_result(const BranchExecutor::BranchResult& r) {
     });
     w.u32(r.outcome->new_crashes);
   }
-  // v2 trailer: prune bookkeeping. Decoders treat its absence as "not
-  // pruned", so journals written before pruning existed still replay.
-  w.boolean(r.pruned);
-  w.str(r.equivalent_to);
-  w.boolean(r.fingerprint.has_value());
-  if (r.fingerprint) {
-    w.u64(r.fingerprint->hi);
-    w.u64(r.fingerprint->lo);
-  }
+  // v2 trailer: the deleted branch-equivalence pruning's bookkeeping,
+  // written as the constant "not pruned, no link, no fingerprint" so
+  // journals and dist result frames keep their format.
+  w.boolean(false);
+  w.str("");
+  w.boolean(false);
   // v3 trailer: per-window tamper counts. Absent in older journals, which
   // predate signed adapters and therefore counted zero tampers.
   if (r.ok()) {
@@ -107,14 +105,12 @@ BranchExecutor::BranchResult decode_branch_result(BytesView payload) {
     o.new_crashes = r.u32();
     out.outcome = std::move(o);
   }
-  if (!r.exhausted()) {  // v2 trailer (absent in v1 records)
-    out.pruned = r.boolean();
-    out.equivalent_to = r.str();
+  if (!r.exhausted()) {  // v2 trailer (absent in v1 records): discarded
+    r.boolean();
+    r.str();
     if (r.boolean()) {
-      Digest128 d;
-      d.hi = r.u64();
-      d.lo = r.u64();
-      out.fingerprint = d;
+      r.u64();
+      r.u64();
     }
   }
   if (!r.exhausted() && out.outcome) {  // v3 trailer (absent in v1/v2 records)
@@ -129,7 +125,10 @@ BranchExecutor::BranchResult decode_branch_result(BytesView payload) {
       p.p999 = r.f64();
     }
   }
-  TURRET_CHECK_MSG(r.exhausted(), "trailing bytes in journal record");
+  // Journals and --connect workers' results come from outside the process:
+  // a malformed record is bad input, not a platform bug.
+  if (!r.exhausted())
+    throw serial::SerialError("trailing bytes in branch result record");
   return out;
 }
 
@@ -156,6 +155,16 @@ namespace {
 
 ScenarioWorld::Stats world_stats(const ScenarioWorld& w) {
   return {w.testbed->emulator().stats(), w.proxy->stats()};
+}
+
+/// Content digest of ip.snapshot; nullopt for a cold point. Keys the
+/// decoded-snapshot cache and the memo.
+std::optional<Digest128> content_of(
+    const BranchExecutor::InjectionPoint& ip) {
+  if (ip.snapshot == nullptr) return std::nullopt;
+  Hasher128 hasher;
+  hasher.update(BytesView{*ip.snapshot});
+  return hasher.digest();
 }
 
 }  // namespace
@@ -292,12 +301,9 @@ WindowPerf BranchExecutor::benign_performance() {
 }
 
 const runtime::DecodedSnapshot& BranchExecutor::decoded(
-    const InjectionPoint& ip) {
+    const InjectionPoint& ip, const Digest128& key) {
   TURRET_CHECK_MSG(ip.snapshot != nullptr, "injection point has no snapshot");
   const Bytes& blob = *ip.snapshot;
-  Hasher128 hasher;
-  hasher.update(BytesView{blob});
-  const Digest128 key = hasher.digest();
   std::vector<DecodedEntry>& chain = decoded_cache_[key];
   const DecodedEntry* hit = nullptr;
   for (const DecodedEntry& e : chain) {
@@ -337,8 +343,8 @@ const runtime::DecodedSnapshot& BranchExecutor::decoded(
 
 namespace {
 
-/// `r`'s outcome, attempts and error without its provenance: what the prune
-/// table keeps and a follower inherits.
+/// `r`'s outcome, attempts and error without its provenance: what the memo
+/// keeps and a hit inherits.
 BranchExecutor::BranchResult without_provenance(
     const BranchExecutor::BranchResult& r) {
   BranchExecutor::BranchResult c;
@@ -437,13 +443,13 @@ auto BranchExecutor::contain(Time at, Fn&& attempt) const {
 }
 
 Contained<const runtime::DecodedSnapshot*> BranchExecutor::try_decoded(
-    const InjectionPoint& ip) {
-  if (ip.snapshot == nullptr) {
+    const InjectionPoint& ip, const std::optional<Digest128>& content) {
+  if (!content) {
     Contained<const runtime::DecodedSnapshot*> cold;
     cold.value.emplace(nullptr);
     return cold;
   }
-  return contain(ip.time, [&] { return &decoded(ip); });
+  return contain(ip.time, [&] { return &decoded(ip, *content); });
 }
 
 ScenarioWorld BranchExecutor::enter(
@@ -593,7 +599,8 @@ BranchExecutor::BranchResult BranchExecutor::execute_unit(
   // merges this result through run_branches' merge stage, so the charge site
   // is the same one a local branch uses. A decode failure produces the same
   // quarantine record the local path would share across the batch.
-  const Contained<const runtime::DecodedSnapshot*> snap = try_decoded(ip);
+  const Contained<const runtime::DecodedSnapshot*> snap =
+      try_decoded(ip, content_of(ip));
   if (!snap.value) return quarantine(snap);
   return attempt_branch(*snap.value, ip, action, windows);
 }
@@ -610,6 +617,18 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
   const auto key = [&](std::size_t i) {
     return branch_key(ip, actions[i], windows);
   };
+  const std::optional<Digest128> content = content_of(ip);
+  std::vector<MemoKey> memo_keys;
+  memo_keys.reserve(actions.size());
+  for (const proxy::MaliciousAction* action : actions) {
+    MemoKey& k = memo_keys.emplace_back(
+        MemoKey{ip.tag, ip.time, windows, content, {}});
+    if (action != nullptr) {
+      serial::Writer w;
+      action->save(w);
+      k.action = w.take();
+    }
+  }
 
   // Journal replay: consume journaled results first (in input order, which
   // matches the order the interrupted run appended them). Only the misses
@@ -626,13 +645,6 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
     }
     out[i] = decode_branch_result(*rec);
     replayed[i] = true;
-    // A replayed canonical record carries its fingerprint: re-seed the prune
-    // table so branches the interrupted run never reached make the same
-    // prune decisions the uninterrupted run would have.
-    if (sc_.prune.enabled && out[i].fingerprint) {
-      prune_table_.try_emplace(*out[i].fingerprint,
-                               PruneEntry{key(i), without_provenance(out[i])});
-    }
     trace::add(trace::Counter::journal_replays);
     if (trace::active()) {
       trace::instant("search", "journal-replay", ip.time,
@@ -644,7 +656,8 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
   // quarantines every pending branch with the decode failure.
   const runtime::DecodedSnapshot* snap = nullptr;
   if (!live.empty()) {
-    const Contained<const runtime::DecodedSnapshot*> d = try_decoded(ip);
+    const Contained<const runtime::DecodedSnapshot*> d =
+        try_decoded(ip, content);
     if (d.value) {
       snap = *d.value;
     } else {
@@ -653,58 +666,17 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
     }
   }
 
-  // Prune claims (DESIGN.md §5f): settle and fingerprint every pending
-  // branch, then claim the table serially in INPUT order — this, not the
-  // fan-out, is what makes the canonical/follower split identical at any
-  // --jobs. The first branch to present a digest is canonical and executes;
-  // later ones follow it. A branch whose settle run failed just executes.
-  std::vector<std::optional<Digest128>> digests(actions.size());
+  // Memo lookup, serially in input order. Every branch of one batch is
+  // distinct, so a hit is always a result merged by an earlier batch.
   std::vector<std::size_t> run;
-  std::vector<std::size_t> followers;
-  if (sc_.prune.enabled && !live.empty()) {
-    const std::vector<std::optional<Digest128>> fps =
-        fan_out(pool_, live.size(), [&](std::size_t k) {
-          return fingerprint_branch(snap, ip, actions[live[k]], windows);
-        });
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      const std::size_t i = live[k];
-      digests[i] = fps[k];
-      const bool canonical =
-          !digests[i] ||
-          prune_table_.try_emplace(*digests[i], PruneEntry{key(i), {}}).second;
-      (canonical ? run : followers).push_back(i);
+  for (const std::size_t i : live) {
+    const auto it = memo_.find(memo_keys[i]);
+    if (it == memo_.end()) {
+      run.push_back(i);
+      continue;
     }
-    trace::set_gauge(trace::Counter::prune_table_entries,
-                     prune_table_.size());
-  } else {
-    run = live;
-  }
-
-  dispatch(snap, ip, actions, run, windows, out);
-  for (const std::size_t i : run) {
-    if (!digests[i]) continue;
-    out[i].fingerprint = digests[i];
-    prune_table_.at(*digests[i]).result = without_provenance(out[i]);
-  }
-
-  // Followers inherit the canonical outcome. The inherited attempts/error
-  // equal what the follower's own execution would have produced (the states
-  // are equivalent and the platform deterministic), so the merge charges
-  // exactly what the prune-off run charges.
-  for (const std::size_t i : followers) {
-    const PruneEntry& e = prune_table_.at(*digests[i]);
-    TURRET_CHECK_MSG(e.result.has_value(),
-                     "follower without a completed prune entry");
-    out[i] = *e.result;
-    out[i].pruned = true;
-    out[i].equivalent_to = e.canonical_key;
+    out[i] = it->second;
     trace::add(trace::Counter::branches_pruned);
-    const Duration skipped =
-        static_cast<Duration>(windows) * sc_.window - sc_.prune.settle;
-    if (skipped > 0) {
-      trace::add(trace::Counter::prune_skipped_ns,
-                 static_cast<std::uint64_t>(skipped));
-    }
     if (trace::active()) {
       trace::instant("search", "prune", ip.time,
                      trace::Args()
@@ -712,30 +684,27 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
                          .add("action", actions[i] != nullptr
                                             ? actions[i]->describe()
                                             : std::string("baseline"))
-                         .add("equivalent_to", e.canonical_key)
                          .take());
     }
   }
 
+  dispatch(snap, ip, actions, run, windows, out);
+
   // Merge, in input order: charge (replayed entries charge the attempts they
-  // recorded), record quarantines, add provenance, journal fresh results.
-  // Integer sums are order-independent, so serial and parallel runs account
-  // the same cost.
+  // recorded), record quarantines, add provenance, journal fresh results and
+  // memoize. Integer sums are order-independent, so serial and parallel runs
+  // account the same cost.
   for (std::size_t i = 0; i < actions.size(); ++i) {
     out[i].charged = charge_branch(ip, out[i].attempts, windows);
     if (!out[i].ok()) record_failure(ip, actions[i], out[i]);
-    if (provenance_ != nullptr) {
-      if (out[i].ok() && out[i].outcome->provenance != nullptr)
-        provenance_->add(out[i].outcome->provenance);
-      // A pruned branch harvested nothing; its equivalent-to link makes the
-      // canonical branch's provenance answer for it in reports. A branch
-      // that follows its own earlier run (greedy re-evaluates a point on
-      // every repetition) already has that harvest under its key.
-      if (out[i].pruned && out[i].equivalent_to != key(i))
-        provenance_->add_alias(key(i), out[i].equivalent_to);
+    if (provenance_ != nullptr && out[i].ok() &&
+        out[i].outcome->provenance != nullptr) {
+      provenance_->add(out[i].outcome->provenance);
     }
     if (journal_ != nullptr && !replayed[i])
       journal_->append(key(i), encode_branch_result(out[i]));
+    if (!memo_.contains(memo_keys[i]))
+      memo_.emplace(std::move(memo_keys[i]), without_provenance(out[i]));
   }
   return out;
 }
@@ -773,43 +742,6 @@ void BranchExecutor::dispatch(
       });
   for (std::size_t k = 0; k < local.size(); ++k)
     out[local[k]] = std::move(results[k]);
-}
-
-std::optional<Digest128> BranchExecutor::fingerprint_branch(
-    const runtime::DecodedSnapshot* snap, const InjectionPoint& ip,
-    const proxy::MaliciousAction* action, int windows) const {
-  try {
-    ScenarioWorld w = enter(snap, action);
-    const Time t_s = ip.time + sc_.prune.settle;
-    const Time horizon = ip.time + static_cast<Duration>(windows) * sc_.window;
-    w.testbed->run_until(t_s);
-
-    Hasher128 h;
-    if (snap != nullptr) {
-      h.update("turret-prune-v1");
-      h.update_i64(windows);
-    } else {
-      // A cold point folds its injection time. Two-window branches keep the
-      // domain brute force's runs had before it ran on the executor, so its
-      // older journals re-seed the same table.
-      h.update(windows == 2 ? "turret-prune-bf1" : "turret-prune-cold");
-      h.update_i64(ip.time);
-      if (windows != 2) h.update_i64(windows);
-    }
-    h.update_i64(sc_.window);
-    h.update_digest(w.testbed->fleet_fingerprint(ip.time, horizon));
-    w.proxy->residual_fingerprint(h, horizon - t_s);
-    trace::add(trace::Counter::fingerprints);
-    // The settle run's length: a cold point settles from t = 0.
-    trace::add(trace::Counter::prune_settle_ns,
-               static_cast<std::uint64_t>(snap != nullptr ? sc_.prune.settle
-                                                          : t_s));
-    return h.digest();
-  } catch (...) {
-    // A failing settle run is deterministic; the branch simply executes live
-    // (and quarantines there if the failure persists).
-    return std::nullopt;
-  }
 }
 
 BranchExecutor::BranchResult BranchExecutor::try_run_branch(
@@ -858,7 +790,8 @@ BranchExecutor::try_continue_branch(const InjectionPoint& ip,
                                     const proxy::MaliciousAction* action,
                                     Duration dur) {
   TURRET_CHECK_MSG(ip.snapshot != nullptr, "a continuation needs a snapshot");
-  const Contained<const runtime::DecodedSnapshot*> snap = try_decoded(ip);
+  const Contained<const runtime::DecodedSnapshot*> snap =
+      try_decoded(ip, content_of(ip));
   Contained<InjectionPoint> next;
   if (snap.value) {
     next = contain(ip.time, [&] {

@@ -163,16 +163,6 @@ class BranchExecutor {
     std::uint32_t attempts = 1;
     std::string error;  ///< last failure; empty on success
 
-    /// Branch-equivalence pruning (DESIGN.md §5f): true when this branch
-    /// skipped execution and inherited `equivalent_to`'s result because its
-    /// fleet-state fingerprint matched the prune table. Cost charges are
-    /// identical either way.
-    bool pruned = false;
-    std::string equivalent_to;  ///< canonical branch_key when pruned
-    /// Fleet-state fingerprint of a canonical (live, prune-enabled) branch;
-    /// journaled so a resumed search re-seeds the prune table and replays
-    /// the original run's prune decisions exactly.
-    std::optional<Digest128> fingerprint;
     /// Virtual cost run_branches charged for this entry, every attempt
     /// included (not journaled: it is recomputed on replay).
     Duration charged = 0;
@@ -244,13 +234,19 @@ class BranchExecutor {
 
   /// Batch form of try_run_branch: one branch per entry of `actions`
   /// (nullptr = baseline branch), as one pipeline — journal replay →
-  /// snapshot decode → prune claims → one dispatch (remote backend, else
-  /// the local pool of default_jobs() threads) → follower inheritance →
-  /// merge. Results come back in input order and are byte-identical to
-  /// running the same branches serially, regardless of worker count: each
-  /// branch is an isolated ScenarioWorld restored from one shared immutable
-  /// decoded snapshot (or started cold), retries happen where the branch
-  /// runs, and the merge charges, records and journals in input order.
+  /// snapshot decode → memo lookup → one dispatch (remote backend, else the
+  /// local pool of default_jobs() threads) → merge. Results come back in
+  /// input order and are byte-identical to running the same branches
+  /// serially, regardless of worker count: each branch is an isolated
+  /// ScenarioWorld restored from one shared immutable decoded snapshot (or
+  /// started cold), retries happen where the branch runs, and the merge
+  /// charges, records, journals and memoizes in input order.
+  ///
+  /// The memo (DESIGN.md §5f): a branch whose MemoKey matches a result
+  /// merged earlier in this search — an exact repeat, which greedy makes on
+  /// every repetition — takes that result without provenance instead of
+  /// executing. It inherits outcome, attempts and error, so the merge
+  /// charges, quarantines and journals it exactly like an execution.
   std::vector<BranchResult> run_branches(
       const InjectionPoint& ip,
       const std::vector<const proxy::MaliciousAction*>& actions, int windows);
@@ -347,27 +343,19 @@ class BranchExecutor {
                 const std::vector<std::size_t>& run, int windows,
                 std::vector<BranchResult>& out);
 
-  /// Prune key of one branch: enter the branch world, run to
-  /// ip.time + prune.settle, and fold the fleet fingerprint with the proxy's
-  /// canonical residual and the observation context. nullopt when the settle
-  /// run itself fails (the branch then executes live, deterministically).
-  /// Thread-safe; touches no executor state except counters.
-  std::optional<Digest128> fingerprint_branch(
-      const runtime::DecodedSnapshot* snap, const InjectionPoint& ip,
-      const proxy::MaliciousAction* action, int windows) const;
-
   void record_failure(const InjectionPoint& ip,
                       const proxy::MaliciousAction* action,
                       const BranchResult& r);
 
-  /// Decoded form of ip.snapshot, parsed once per distinct blob and shared by
-  /// every branch from that injection point.
-  const runtime::DecodedSnapshot& decoded(const InjectionPoint& ip);
+  /// Decoded form of ip.snapshot, whose content digest is `key`: parsed once
+  /// per distinct blob and shared by every branch from that injection point.
+  const runtime::DecodedSnapshot& decoded(const InjectionPoint& ip,
+                                          const Digest128& key);
 
-  /// decoded() under contain(). A cold point succeeds with a null snapshot
-  /// and no attempts: it has nothing to decode.
+  /// decoded() under contain(). A cold point (no `content` digest) succeeds
+  /// with a null snapshot and no attempts: it has nothing to decode.
   Contained<const runtime::DecodedSnapshot*> try_decoded(
-      const InjectionPoint& ip);
+      const InjectionPoint& ip, const std::optional<Digest128>& content);
 
   const Scenario& sc_;
   std::optional<std::vector<InjectionPoint>> points_;
@@ -391,17 +379,24 @@ class BranchExecutor {
   std::map<Digest128, std::vector<DecodedEntry>> decoded_cache_;
   std::size_t decoded_cache_entries_ = 0;
 
-  /// Branch-equivalence prune table (DESIGN.md §5f): fingerprint → canonical
-  /// branch. Claims, results and lookups all happen on run_branches' calling
-  /// thread in input order, which is what makes the canonical choice
-  /// identical at any --jobs.
-  struct PruneEntry {
-    std::string canonical_key;
-    /// The canonical result without provenance; unset between the claim and
-    /// the canonical branch's execution.
-    std::optional<BranchResult> result;
+  /// A branch's exact identity. The action's wire form, not describe(),
+  /// which rounds values; the snapshot's content, not its address, because
+  /// greedy's continuations re-create identical blobs. The tag stays: the
+  /// points one emulator step discovers share one blob.
+  struct MemoKey {
+    wire::TypeTag tag = 0;
+    Time time = 0;
+    int windows = 0;
+    std::optional<Digest128> content;  ///< nullopt for a cold point
+    Bytes action;                      ///< empty for a baseline branch
+
+    auto operator<=>(const MemoKey&) const = default;
   };
-  std::map<Digest128, PruneEntry> prune_table_;
+  /// Every result merged in this search, without provenance. Looked up and
+  /// filled on run_branches' calling thread in input order, so hits are
+  /// identical at any --jobs or worker count, and a resumed search (whose
+  /// replays are memoized too) makes the uninterrupted run's hits.
+  std::map<MemoKey, BranchResult> memo_;
   /// Local fan-out pool, sized to default_jobs() and rebuilt when it changes.
   std::unique_ptr<ThreadPool> pool_;
   std::vector<FailedBranch> failed_;

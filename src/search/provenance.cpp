@@ -129,36 +129,10 @@ void ProvenanceStore::add(std::shared_ptr<const BranchProvenance> p) {
   map_[p->key] = std::move(p);
 }
 
-void ProvenanceStore::add_alias(std::string key, std::string canonical) {
-  TURRET_CHECK(!key.empty() && !canonical.empty() && key != canonical);
-  aliases_[std::move(key)] = std::move(canonical);
-}
-
-std::string ProvenanceStore::resolve(std::string_view key) const {
-  std::string cur(key);
-  // Aliases are acyclic by construction (a follower links to a branch that
-  // executed before it); the bound is a belt against corrupted journals.
-  for (int depth = 0; depth < 64; ++depth) {
-    auto it = aliases_.find(cur);
-    if (it == aliases_.end()) return cur;
-    cur = it->second;
-  }
-  return cur;
-}
-
-bool ProvenanceStore::is_alias(std::string_view key) const {
-  return aliases_.find(key) != aliases_.end();
-}
-
 std::shared_ptr<const BranchProvenance> ProvenanceStore::find(
     std::string_view key) const {
   auto it = map_.find(key);
-  if (it != map_.end()) return it->second;
-  if (is_alias(key)) {
-    auto cit = map_.find(resolve(key));
-    if (cit != map_.end()) return cit->second;
-  }
-  return nullptr;
+  return it != map_.end() ? it->second : nullptr;
 }
 
 BranchProvenance harvest_provenance(const ScenarioWorld& w, const Scenario& sc,
@@ -199,13 +173,6 @@ std::string provenance_json(const Scenario& sc, const SearchResult& res,
     out += ",\"key\":\"" + json_escape(rep.provenance_key) + "\"";
     out += ",\"baseline_key\":\"" + json_escape(rep.baseline_key) + "\"";
     out += ",\"injection_time\":" + std::to_string(rep.injection_time);
-    // A pruned branch never executed: its provenance is the canonical
-    // branch's, and the link says so (DESIGN.md §5f).
-    if (store.is_alias(rep.provenance_key)) {
-      out += ",\"equivalent_to\":\"" +
-             json_escape(store.resolve(rep.provenance_key)) + "\"";
-    }
-
     const Joined j = join(rep, store);
     if (j.attack == nullptr) {
       out += ",\"available\":false";
@@ -355,11 +322,6 @@ std::string provenance_markdown(const Scenario& sc, const SearchResult& res,
     }
     md += "- found after " + format_duration(rep.found_after) +
           " of search time\n";
-    if (store.is_alias(rep.provenance_key)) {
-      md += "- pruned as state-equivalent to `" +
-            store.resolve(rep.provenance_key) +
-            "` (provenance below is the canonical branch's)\n";
-    }
 
     const Joined j = join(rep, store);
     if (j.attack == nullptr) {

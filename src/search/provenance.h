@@ -43,23 +43,14 @@ struct BranchProvenance {
 class ProvenanceStore {
  public:
   void add(std::shared_ptr<const BranchProvenance> p);
-  /// Equivalent-to link for a pruned branch (DESIGN.md §5f): `key` harvested
-  /// nothing, and lookups resolve to `canonical`'s provenance instead.
-  /// Aliases chain (a canonical key may itself alias after a resumed run
-  /// replays it) but are acyclic by construction; find() follows them.
-  void add_alias(std::string key, std::string canonical);
+  /// A memo hit harvested nothing, but it shares its branch_key with the
+  /// execution it repeats, so find() returns that execution's harvest.
   std::shared_ptr<const BranchProvenance> find(std::string_view key) const;
-  /// The canonical key `key` resolves to after following aliases — `key`
-  /// itself when it is not an alias. Reports use this to render pruned
-  /// attacks' equivalent-to links.
-  std::string resolve(std::string_view key) const;
-  bool is_alias(std::string_view key) const;
   std::size_t size() const { return map_.size(); }
 
  private:
   std::map<std::string, std::shared_ptr<const BranchProvenance>, std::less<>>
       map_;
-  std::map<std::string, std::string, std::less<>> aliases_;
 };
 
 /// Harvest a world's observability state over [t0, t1): audit records from

@@ -38,7 +38,7 @@ struct MetricSpec {
   /// kQuantile only: which quantile drives damage (0.5/0.95/0.99/0.999).
   /// Quantiles come from the deterministic log2-bucket histograms
   /// (common/metrics), so a quantile damage metric preserves byte-identical
-  /// results across --jobs, prune settings, and worker counts.
+  /// results across --jobs and worker counts.
   double quantile = 0.99;
 };
 
@@ -82,21 +82,9 @@ struct FaultTolerance {
                               .jitter = 0.25};
 };
 
-/// Branch-equivalence pruning (DESIGN.md §5f). When enabled, every branch
-/// runs only to `settle` past its injection, fingerprints the fleet state,
-/// and consults a first-writer-wins prune table: a branch whose fingerprint
-/// matches an already-claimed one inherits the canonical branch's outcome
-/// instead of executing its observation windows. Pruning is a wall-clock
-/// optimization only — virtual SearchCost charges are identical with it on
-/// or off, so SearchResult (including found_after) stays byte-identical.
+/// Inert: nothing reads it, and the next benchmark change deletes it.
 struct PruneOptions {
   bool enabled = false;
-  /// How far past the injection a branch runs before fingerprinting. Must
-  /// exceed the proxy's hold delay (1 µs) so the armed action has been
-  /// applied to the injection message; large enough to let immediate
-  /// consequences (deliveries, handler completions) land, small relative to
-  /// the window so pruned branches skip almost all of the execution.
-  Duration settle = 1 * kMillisecond;
 };
 
 struct Scenario {

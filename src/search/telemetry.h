@@ -46,9 +46,9 @@ struct TelemetrySnapshot {
 
   /// The stats block: one JSON object, counter keys in table order (the
   /// phase rows nested as "phase_ns"). Deterministic
-  /// core only — same-seed blocks are byte-identical across --jobs, prune
-  /// settings, and 0..N forked workers (worker execution deltas merge into
-  /// the same totals an in-process run bumps directly).
+  /// core only — same-seed blocks are byte-identical across --jobs and
+  /// 0..N forked workers (worker execution deltas merge into the same totals
+  /// an in-process run bumps directly).
   std::string to_json() const;
 
   /// The fleet block: worker count, the fleet rows (dist transport counters,

@@ -95,12 +95,6 @@ void usage() {
                "  --branch-budget <n>   emulator event budget per branch; a\n"
                "                        runaway branch aborts and is\n"
                "                        quarantined (default 100000000)\n"
-               "  --prune <on|off>      branch-equivalence pruning (default\n"
-               "                        off): branches whose settled fleet-\n"
-               "                        state fingerprints match skip guest\n"
-               "                        execution and inherit the canonical\n"
-               "                        branch's outcome; results are byte-\n"
-               "                        identical either way\n"
                "  --journal <path>      write-ahead journal of branch outcomes\n"
                "  --resume              replay completed branches from the\n"
                "                        journal instead of re-executing them\n"
@@ -155,7 +149,6 @@ struct Options {
   std::string report_path;
   std::string trace_path;
   turret::trace::Clock trace_clock = turret::trace::Clock::kVirtual;
-  bool prune = false;
 };
 
 search::Scenario build_scenario(const Options& o) {
@@ -189,7 +182,6 @@ search::Scenario build_scenario(const Options& o) {
     sc.duration = static_cast<Duration>(o.duration_sec * kSecond);
   if (o.max_retries >= 0) sc.fault.max_retries = o.max_retries;
   if (o.branch_budget > 0) sc.fault.max_branch_events = o.branch_budget;
-  sc.prune.enabled = o.prune;
   return sc;
 }
 
@@ -277,7 +269,16 @@ int main(int argc, char** argv) {
       o.progress = true;
     } else if (arg == "--malicious") {
       const std::string v = next();
-      o.malicious_primary = (v == "primary" || v == "leader");
+      if (v == "primary" || v == "leader") {
+        o.malicious_primary = true;
+      } else if (v == "backup") {
+        o.malicious_primary = false;
+      } else {
+        std::fprintf(stderr,
+                     "turret-run: --malicious wants 'primary', 'leader' or "
+                     "'backup'\n");
+        return 2;
+      }
     } else if (arg == "--delta") {
       o.delta = std::atof(next());
     } else if (arg == "--window") {
@@ -343,16 +344,6 @@ int main(int argc, char** argv) {
       } else {
         std::fprintf(stderr,
                      "turret-run: --trace-clock wants 'virtual' or 'wall'\n");
-        return 2;
-      }
-    } else if (arg == "--prune") {
-      const std::string v = next();
-      if (v == "on") {
-        o.prune = true;
-      } else if (v == "off") {
-        o.prune = false;
-      } else {
-        std::fprintf(stderr, "turret-run: --prune wants 'on' or 'off'\n");
         return 2;
       }
     } else if (arg == "--capture") {

@@ -132,7 +132,7 @@ TEST(Hash, Digest128IsLengthTagged) {
 }
 
 TEST(Hash, Digest128OrdersLikeItsLanes) {
-  // The prune table and decoded-snapshot cache key on Digest128 via <=>.
+  // The branch memo and decoded-snapshot cache key on Digest128 via <=>.
   const Digest128 a{1, 2};
   const Digest128 b{1, 3};
   const Digest128 c{2, 0};

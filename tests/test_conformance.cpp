@@ -169,6 +169,14 @@ TEST_P(GuestBoundaryGuard, NoBruteForceActionTripsAPlatformInvariant) {
   expect_no_platform_invariant(search::brute_force_search(short_scenario()));
 }
 
+// turret-run's greedy: three confirmations, at most four repetitions.
+// Repetitions re-scan every point, so most of this search is memo hits.
+TEST_P(GuestBoundaryGuard, NoGreedyActionTripsAPlatformInvariant) {
+  search::GreedyOptions opt;
+  opt.max_repetitions = 4;
+  expect_no_platform_invariant(search::greedy_search(short_scenario(), opt));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSystems, GuestBoundaryGuard,
                          ::testing::ValuesIn(registered_names()),
                          [](const auto& info) { return info.param; });

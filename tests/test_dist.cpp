@@ -339,16 +339,16 @@ TEST(DistInProcess, ThreadChaosStaysByteIdentical) {
       << "the died-mid-unit lease should have been reassigned";
 }
 
-// Prune claims stay on the coordinator; the canonical branches they leave
-// still ship to workers, and the result matches the prune-off in-process run.
-TEST(DistInProcess, PruneOnThreadWorkersMatchesPruneOffInProcess) {
-  const std::string ref = weighted_greedy_search(pbft_scenario()).to_json();
-  Scenario sc = pbft_scenario();
-  sc.prune.enabled = true;
+// Memo lookups run on the coordinator: greedy's repeats never ship, its
+// other branches still do, and the result matches the in-process run.
+TEST(DistInProcess, GreedyMemoHitsOnTheCoordinatorMatchInProcess) {
+  const Scenario sc = pbft_scenario();
+  search::GreedyOptions opt;
+  opt.confirmations = 2;
+  opt.max_repetitions = 2;
+  const std::string ref = greedy_search(sc, opt).to_json();
 
   trace::ScopedTrace t(trace::Clock::kVirtual);
-  const std::uint64_t sent_before =
-      trace::counters().get(trace::Counter::dist_units_sent);
   dist::Coordinator coord(sc, {});
   dist::WorkerOptions wopt;
   wopt.exit_process_on_fault = false;  // thread mode
@@ -361,15 +361,17 @@ TEST(DistInProcess, PruneOnThreadWorkersMatchesPruneOffInProcess) {
     });
   }
   ASSERT_TRUE(coord.wait_for_workers(2, 15'000'000'000));
-  const SearchResult res =
-      weighted_greedy_search(sc, {}, nullptr, nullptr, nullptr, &coord);
+  const SearchResult res = greedy_search(sc, opt, nullptr, nullptr, &coord);
   coord.shutdown();
   for (std::thread& w : workers) w.join();
 
   EXPECT_EQ(res.to_json(), ref);
-  EXPECT_GT(trace::counters().get(trace::Counter::dist_units_sent),
-            sent_before)
-      << "prune must not force local execution";
+  const std::uint64_t hits =
+      trace::counters().get(trace::Counter::branches_pruned);
+  const std::uint64_t sent =
+      trace::counters().get(trace::Counter::dist_units_sent);
+  EXPECT_GT(hits, 0u) << "greedy's repeats never hit the memo";
+  EXPECT_GT(sent, 0u) << "the memo must not force local execution";
 }
 
 // ---------------------------------------------------------------------------
@@ -389,29 +391,6 @@ TEST(DistSearch, ForkedWorkersMatchInProcessAtAnyCount) {
     coord.shutdown();
     EXPECT_EQ(res.to_json(), ref) << n << " workers";
   }
-}
-
-TEST(DistSearch, PruneOnForkedWorkersMatchesPruneOffInProcess) {
-  const std::string ref = weighted_greedy_search(pbft_scenario()).to_json();
-  Scenario sc = pbft_scenario();
-  sc.prune.enabled = true;
-
-  trace::ScopedTrace t(trace::Clock::kVirtual);
-  const std::uint64_t sent_before =
-      trace::counters().get(trace::Counter::dist_units_sent);
-  dist::Coordinator coord(sc, {});
-  dist::WorkerOptions wopt;
-  wopt.seed = 7;
-  coord.spawn_workers(2, wopt);
-  ASSERT_TRUE(coord.wait_for_workers(2, 15'000'000'000));
-  const SearchResult res =
-      weighted_greedy_search(sc, {}, nullptr, nullptr, nullptr, &coord);
-  coord.shutdown();
-  EXPECT_EQ(res.to_json(), ref)
-      << "prune on with workers diverged from prune off in-process";
-  EXPECT_GT(trace::counters().get(trace::Counter::dist_units_sent),
-            sent_before)
-      << "canonical branches never ran remotely";
 }
 
 // ---------------------------------------------------------------------------
@@ -569,7 +548,7 @@ std::string stats_json(const Scenario& sc, unsigned jobs, unsigned workers) {
     coord.shutdown();
     out = search::capture_telemetry().to_json();
     // Otherwise the comparison is vacuous: the branches must really have run
-    // on the workers, prune on or off.
+    // on the workers.
     EXPECT_GT(trace::counters().get(trace::Counter::dist_units_sent),
               0u)
         << "no unit was shipped to a worker";
@@ -579,13 +558,10 @@ std::string stats_json(const Scenario& sc, unsigned jobs, unsigned workers) {
 }
 
 TEST(FleetTelemetry, StatsBlockByteIdenticalAcrossJobsAndWorkers) {
-  for (const bool prune : {false, true}) {
-    Scenario sc = pbft_scenario();
-    sc.prune.enabled = prune;
-    const std::string ref = stats_json(sc, 1, 0);
-    EXPECT_EQ(stats_json(sc, 4, 0), ref) << "jobs=4 prune=" << prune;
-    EXPECT_EQ(stats_json(sc, 1, 2), ref) << "workers=2 prune=" << prune;
-  }
+  const Scenario sc = pbft_scenario();
+  const std::string ref = stats_json(sc, 1, 0);
+  EXPECT_EQ(stats_json(sc, 4, 0), ref) << "jobs=4";
+  EXPECT_EQ(stats_json(sc, 1, 2), ref) << "workers=2";
 }
 
 TEST(FleetTelemetry, FleetBlockReportsPerWorkerExecutionCounters) {

@@ -10,6 +10,7 @@
 
 #include "common/fault.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "search/algorithms.h"
 #include "search/executor.h"
 #include "search/journal.h"
@@ -98,6 +99,74 @@ TEST(Journal, ToleratesATruncatedTailRecord) {
   EXPECT_EQ(j->replay("c"), bytes_of("payload-c"));
 }
 
+Bytes from_hex(std::string_view hex) {
+  Bytes out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoul(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+// Encodings written before the memo replaced branch-equivalence pruning. The
+// v2 trailer is the constant "not pruned, no link, no fingerprint".
+constexpr std::string_view kOkRecord =
+    "010200000000000000020000000000000000e05e400903000000000000000000000000d0"
+    "3f0200000000000000010000000000000000000300000000000000000000000000000001"
+    "000000000000f83f00000000000004400000000000001040000000000000204000000000"
+    "0000000000000000000000000000000000000000000000000000000000";
+constexpr std::string_view kQuarantinedRecord =
+    "00030000002c000000696e6a6563746564206661756c7420617420736974652027627261"
+    "6e63682d65786563272028686974203229000000000000";
+// The same result as a --prune on run wrote a follower: pruned, linked to its
+// canonical branch, with a fingerprint.
+constexpr std::string_view kPrunedFollowerRecord =
+    "010200000000000000020000000000000000e05e400903000000000000000000000000d0"
+    "3f020000000000000001000000011d000000627c337c323030303030303030307c317c44"
+    "726f70205072657061726501efcdab89674523011032547698badcfe0300000000000000"
+    "000000000000000001000000000000f83f00000000000004400000000000001040000000"
+    "000000204000000000000000000000000000000000000000000000000000000000000000"
+    "0000";
+
+BranchExecutor::BranchResult pinned_ok() {
+  BranchExecutor::BranchResult r;
+  r.attempts = 2;
+  WindowPerf w0;
+  w0.value = 123.5;
+  w0.samples = 777;
+  w0.tampers = 3;
+  w0.has_percentiles = true;
+  w0.p50 = 1.5;
+  w0.p95 = 2.5;
+  w0.p99 = 4.0;
+  w0.p999 = 8.0;
+  WindowPerf w1;
+  w1.value = 0.25;
+  w1.samples = 2;
+  BranchExecutor::BranchOutcome out;
+  out.windows = {w0, w1};
+  out.new_crashes = 1;
+  r.outcome = out;
+  return r;
+}
+
+void expect_pinned_ok(const BranchExecutor::BranchResult& r) {
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.attempts, 2u);
+  EXPECT_TRUE(r.error.empty());
+  ASSERT_EQ(r.outcome->windows.size(), 2u);
+  const WindowPerf& w0 = r.outcome->windows[0];
+  EXPECT_EQ(w0.value, 123.5);
+  EXPECT_EQ(w0.samples, 777u);
+  EXPECT_EQ(w0.tampers, 3u);
+  EXPECT_TRUE(w0.has_percentiles);
+  EXPECT_EQ(w0.p50, 1.5);
+  EXPECT_EQ(w0.p999, 8.0);
+  EXPECT_EQ(r.outcome->windows[1].value, 0.25);
+  EXPECT_FALSE(r.outcome->windows[1].has_percentiles);
+  EXPECT_EQ(r.outcome->new_crashes, 1u);
+}
+
 TEST(Journal, BranchResultCodecRoundTrips) {
   BranchExecutor::BranchResult ok;
   ok.attempts = 3;
@@ -120,6 +189,30 @@ TEST(Journal, BranchResultCodecRoundTrips) {
   EXPECT_FALSE(failed2.ok());
   EXPECT_EQ(failed2.attempts, 4u);
   EXPECT_EQ(failed2.error, failed.error);
+
+  // Journal records and worker results are input from outside the process:
+  // a trailing byte is malformed input, not a platform invariant.
+  Bytes trailing = encode_branch_result(ok);
+  trailing.push_back(0);
+  EXPECT_THROW(decode_branch_result(trailing), serial::SerialError);
+
+  EXPECT_EQ(encode_branch_result(pinned_ok()), from_hex(kOkRecord));
+  expect_pinned_ok(decode_branch_result(from_hex(kOkRecord)));
+
+  BranchExecutor::BranchResult q;
+  q.attempts = 3;
+  q.error = "injected fault at site 'branch-exec' (hit 2)";
+  EXPECT_EQ(encode_branch_result(q), from_hex(kQuarantinedRecord));
+  const auto q2 = decode_branch_result(from_hex(kQuarantinedRecord));
+  EXPECT_FALSE(q2.ok());
+  EXPECT_EQ(q2.attempts, 3u);
+  EXPECT_EQ(q2.error, q.error);
+
+  // A --prune on follower still replays: its trailer is read and dropped,
+  // and the result re-encodes in today's form.
+  const auto follower = decode_branch_result(from_hex(kPrunedFollowerRecord));
+  expect_pinned_ok(follower);
+  EXPECT_EQ(encode_branch_result(follower), from_hex(kOkRecord));
 }
 
 // ---------------------------------------------------------------------------
@@ -295,6 +388,55 @@ TEST(JournalResume, BruteForceResumesFromAKilledRunsPrefix) {
     set_default_jobs(0);
   }
   expect_identical(live, replayed);
+}
+
+// Greedy's repeats hit the memo. Replayed records are memoized like
+// executed ones, so the resumed run makes the uninterrupted run's hits: it
+// appends exactly the missing records, and the journal ends up whole.
+TEST(JournalResume, GreedyResumesFromAKilledRunsPrefix) {
+  const Scenario sc = toy_scenario();
+  GreedyOptions opt;
+  opt.confirmations = 2;
+  const std::string full_path = tmp_path("greedy_full");
+  set_default_jobs(1);
+
+  SearchResult live;
+  {
+    trace::ScopedTrace t(trace::Clock::kVirtual);
+    auto j = Journal::open(full_path, false);
+    live = greedy_search(sc, opt, j.get());
+    EXPECT_GT(trace::counters().get(trace::Counter::branches_pruned), 0u)
+        << "greedy made no exact repeat; the resume check would not cover "
+           "the memo";
+  }
+
+  const auto entries = Journal::read_all(full_path);
+  ASSERT_GT(entries.size(), 2u);
+  const std::string prefix_path = tmp_path("greedy_prefix");
+  {
+    auto j = Journal::open(prefix_path, false);
+    for (std::size_t i = 0; i < entries.size() / 2; ++i)
+      j->append(entries[i].key, entries[i].payload);
+  }
+
+  SearchResult resumed;
+  {
+    auto j = Journal::open(prefix_path, true);
+    resumed = greedy_search(sc, opt, j.get());
+    EXPECT_EQ(j->replayed(), entries.size() / 2);
+    EXPECT_EQ(j->appended(), entries.size() - entries.size() / 2)
+        << "only the missing branches execute or hit";
+  }
+  set_default_jobs(0);
+  expect_identical(live, resumed);
+  EXPECT_EQ(resumed.to_json(), live.to_json());
+
+  const auto resumed_entries = Journal::read_all(prefix_path);
+  ASSERT_EQ(resumed_entries.size(), entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(resumed_entries[i].key, entries[i].key) << "record " << i;
+    EXPECT_EQ(resumed_entries[i].payload, entries[i].payload) << "record " << i;
+  }
 }
 
 TEST(JournalResume, FaultedRunReplaysIdenticallyWithFaultsDisarmed) {

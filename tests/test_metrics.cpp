@@ -1,8 +1,8 @@
 // Percentile metrics layer (DESIGN.md §5i): fixed-bucket log2 histograms
 // whose quantiles are exact bucket lower bounds — pure functions of the
-// sample multiset, hence byte-identical across --jobs, prune settings, and
-// worker counts. The property tests here pin the quantile-vs-ground-truth
-// relationship against sorted vectors, merge associativity, the fixed-point
+// sample multiset, hence byte-identical across --jobs and worker counts. The
+// property tests here pin the quantile-vs-ground-truth relationship against
+// sorted vectors, merge associativity, the fixed-point
 // domain mapping, serialization round-trips (MetricsCollector snapshots,
 // the netem DelayHistogram byte format), the --metric spec
 // parser, and the headline behavior: a p99 damage metric flags tail attacks
