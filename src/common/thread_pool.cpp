@@ -57,11 +57,11 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::enqueue(std::function<void()> task) {
+void ThreadPool::enqueue(Queue& q, std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     TURRET_CHECK_MSG(!shutdown_, "submit() on a shutting-down ThreadPool");
-    queue_.push_back(std::move(task));
+    q.push_back(std::move(task));
   }
   cv_.notify_one();
 }
@@ -72,10 +72,13 @@ void ThreadPool::worker_loop(unsigned worker_id) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown_ and fully drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      cv_.wait(lock, [this] {
+        return shutdown_ || !front_.empty() || !queue_.empty();
+      });
+      Queue& q = !front_.empty() ? front_ : queue_;
+      if (q.empty()) return;  // shutdown_ and fully drained
+      task = std::move(q.front());
+      q.pop_front();
     }
     // A packaged_task traps its exception in the future; a raw std::function
     // that throws would std::terminate, which is the correct response to a

@@ -55,20 +55,39 @@ class ThreadPool {
   /// result or rethrows its exception.
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
-    enqueue([task] { (*task)(); });
-    return fut;
+    return submit_to(queue_, std::forward<F>(fn));
+  }
+
+  /// submit(), but ahead of every task queued by submit(): workers take
+  /// front submissions first, in the order they were made. A caller about
+  /// to block on work uses it so that work it queued speculatively earlier
+  /// never delays what it waits for.
+  template <typename F>
+  auto submit_front(F&& fn)
+      -> std::future<std::invoke_result_t<std::decay_t<F>>> {
+    return submit_to(front_, std::forward<F>(fn));
   }
 
  private:
-  void enqueue(std::function<void()> task);
+  using Queue = std::deque<std::function<void()>>;
+
+  template <typename F>
+  auto submit_to(Queue& q, F&& fn)
+      -> std::future<std::invoke_result_t<std::decay_t<F>>> {
+    using R = std::invoke_result_t<std::decay_t<F>>;
+    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
+    std::future<R> fut = task->get_future();
+    enqueue(q, [task] { (*task)(); });
+    return fut;
+  }
+
+  void enqueue(Queue& q, std::function<void()> task);
   void worker_loop(unsigned worker_id);
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
+  Queue front_;  ///< submit_front() tasks, taken before queue_
+  Queue queue_;
   bool shutdown_ = false;  ///< no new submissions; drain and exit
   std::vector<std::thread> threads_;
 };

@@ -54,15 +54,20 @@ struct EvalSet {
   std::vector<std::optional<Evaluation>> evals;
 };
 
+std::vector<const proxy::MaliciousAction*> pointers(
+    const std::vector<proxy::MaliciousAction>& actions) {
+  std::vector<const proxy::MaliciousAction*> ptrs;
+  ptrs.reserve(actions.size());
+  for (const proxy::MaliciousAction& a : actions) ptrs.push_back(&a);
+  return ptrs;
+}
+
 EvalSet evaluate_all(BranchExecutor& exec,
                      const BranchExecutor::InjectionPoint& ip,
                      const std::vector<proxy::MaliciousAction>& actions,
                      const WindowPerf& base) {
-  std::vector<const proxy::MaliciousAction*> ptrs;
-  ptrs.reserve(actions.size());
-  for (const proxy::MaliciousAction& a : actions) ptrs.push_back(&a);
   EvalSet es;
-  es.results = exec.run_branches(ip, ptrs, 1);
+  es.results = exec.run_branches(ip, pointers(actions), 1);
   es.evals.reserve(es.results.size());
   for (const BranchResult& r : es.results) {
     if (r.ok()) {
@@ -187,16 +192,27 @@ SearchResult brute_force_search(const Scenario& sc, Journal* journal,
   // Brute force cannot branch, so its injection points are cold: every
   // execution, the per-type baseline included, is a fresh run from t = 0
   // with the action armed from the start. The executor runs, retries,
-  // charges and journals them like any other branch.
+  // charges and journals them like any other branch. Every type's runs are
+  // known now, so the pool starts on all of them; the loop below commits
+  // them type by type.
+  struct Type {
+    BranchExecutor::InjectionPoint ip;
+    std::vector<proxy::MaliciousAction> actions;
+  };
+  std::vector<Type> types;
   for (const wire::TypeTag tag : order) {
     const wire::MessageSpec* spec = sc.schema->by_tag(tag);
     if (spec == nullptr) continue;
-    BranchExecutor::InjectionPoint ip;
-    ip.tag = tag;
-    ip.message_name = spec->name;
-    ip.time = first_send.at(tag);
-    const std::vector<proxy::MaliciousAction> actions =
-        proxy::enumerate_actions(*spec, sc.actions);
+    Type& t = types.emplace_back();
+    t.ip.tag = tag;
+    t.ip.message_name = spec->name;
+    t.ip.time = first_send.at(tag);
+    t.actions = proxy::enumerate_actions(*spec, sc.actions);
+    exec.prefetch(t.ip, {nullptr}, 1);
+    exec.prefetch(t.ip, pointers(t.actions), 2);
+  }
+
+  for (const auto& [ip, actions] : types) {
     trace::Span tag_span("search", "brute-tag");
     if (trace::active()) {
       tag_span.at(ip.time)
@@ -208,11 +224,9 @@ SearchResult brute_force_search(const Scenario& sc, Journal* journal,
     // Every action runs even when the baseline quarantined: its outcome is
     // charged and journaled, but has nothing to compare against.
     const BranchResult base = exec.try_run_branch(ip, nullptr, 1);
-    std::vector<const proxy::MaliciousAction*> ptrs;
-    ptrs.reserve(actions.size());
-    for (const proxy::MaliciousAction& a : actions) ptrs.push_back(&a);
     Duration running = exec.cost().total();
-    const std::vector<BranchResult> runs = exec.run_branches(ip, ptrs, 2);
+    const std::vector<BranchResult> runs =
+        exec.run_branches(ip, pointers(actions), 2);
 
     // Replay the serial cost clock: each run pays its own charge, so
     // found_after is the same whether runs executed, hit the memo or
@@ -346,7 +360,7 @@ SearchResult greedy_search(const Scenario& sc, const GreedyOptions& opt,
           rep.found_after = exec.cost().total();
           rep.provenance_key =
               BranchExecutor::branch_key(winner_ip, &actions[*winner], 2);
-          rep.baseline_key = exec.last_baseline_key(ip0.tag);
+          rep.baseline_key = BranchExecutor::branch_key(winner_ip, nullptr, 1);
           TLOG_INFO("greedy: %s", rep.describe().c_str());
           if (trace::active()) {
             trace::instant(
@@ -389,11 +403,24 @@ SearchResult weighted_greedy_search(const Scenario& sc,
 
   ClusterWeights weights = opt.initial;
 
-  for (const auto& ip : points) {
+  // Every point's baseline and evaluation batch is known now, so the pool
+  // starts on all of them; the scan below still commits them point by
+  // point, in the serial order. (Classification batches depend on their
+  // evaluations and are not prefetched.)
+  std::vector<std::vector<proxy::MaliciousAction>> point_actions(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    const wire::MessageSpec* spec = sc.schema->by_tag(points[p].tag);
+    if (spec == nullptr) continue;
+    point_actions[p] = proxy::enumerate_actions(*spec, sc.actions);
+    exec.prefetch(points[p], {nullptr}, 1);
+    exec.prefetch(points[p], pointers(point_actions[p]), 1);
+  }
+
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    const BranchExecutor::InjectionPoint& ip = points[p];
     const wire::MessageSpec* spec = sc.schema->by_tag(ip.tag);
     if (spec == nullptr) continue;
-    const std::vector<proxy::MaliciousAction> actions =
-        proxy::enumerate_actions(*spec, sc.actions);
+    const std::vector<proxy::MaliciousAction>& actions = point_actions[p];
     const std::optional<WindowPerf> base_opt = exec.try_baseline(ip);
     if (!base_opt) continue;  // baseline quarantined: skip the whole type
     const WindowPerf base = *base_opt;
@@ -463,7 +490,7 @@ SearchResult weighted_greedy_search(const Scenario& sc,
           make_report(sc, ip, actions[idx], base, *classified[qi].outcome);
       rep.found_after = running;
       rep.provenance_key = BranchExecutor::branch_key(ip, &actions[idx], 2);
-      rep.baseline_key = exec.last_baseline_key(ip.tag);
+      rep.baseline_key = BranchExecutor::branch_key(ip, nullptr, 1);
       weights[actions[idx].cluster()] += opt.bump;
       if (trace::active()) {
         trace::instant(

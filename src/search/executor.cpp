@@ -151,6 +151,14 @@ BranchExecutor::BranchExecutor(const Scenario& sc) : sc_(sc) {
   TURRET_CHECK_MSG(!sc.malicious.empty(), "scenario needs malicious nodes");
 }
 
+BranchExecutor::~BranchExecutor() {
+  for (auto& [key, p] : in_flight_) {
+    Claim queued = Claim::kQueued;
+    p.state->compare_exchange_strong(queued, Claim::kSkipped);
+  }
+  pool_.reset();  // skipped tasks return at once; running ones finish
+}
+
 namespace {
 
 ScenarioWorld::Stats world_stats(const ScenarioWorld& w) {
@@ -300,20 +308,23 @@ WindowPerf BranchExecutor::benign_performance() {
   return *benign_perf_;
 }
 
-const runtime::DecodedSnapshot& BranchExecutor::decoded(
-    const InjectionPoint& ip, const Digest128& key) {
+BranchExecutor::DecodedPtr BranchExecutor::decoded(const InjectionPoint& ip,
+                                                   const Digest128& key,
+                                                   bool commit) {
   TURRET_CHECK_MSG(ip.snapshot != nullptr, "injection point has no snapshot");
   const Bytes& blob = *ip.snapshot;
   std::vector<DecodedEntry>& chain = decoded_cache_[key];
-  const DecodedEntry* hit = nullptr;
-  for (const DecodedEntry& e : chain) {
+  DecodedEntry* hit = nullptr;
+  for (DecodedEntry& e : chain) {
     if (*e.blob == blob) {
       hit = &e;
       break;
     }
   }
-  trace::add(hit != nullptr ? trace::Counter::decode_hits
-                            : trace::Counter::decode_misses);
+  if (commit) {
+    trace::add(hit != nullptr && hit->counted ? trace::Counter::decode_hits
+                                              : trace::Counter::decode_misses);
+  }
   if (hit == nullptr) {
     // Continuation chains produce a fresh blob per step; keep the cache from
     // growing without bound by dropping everything once it gets large (the
@@ -324,7 +335,7 @@ const runtime::DecodedSnapshot& BranchExecutor::decoded(
     }
     DecodedEntry e;
     e.blob = ip.snapshot;
-    e.snapshot = std::make_unique<const runtime::DecodedSnapshot>(
+    e.snapshot = std::make_shared<const runtime::DecodedSnapshot>(
         runtime::Testbed::decode_snapshot(*ip.snapshot));
     std::vector<DecodedEntry>& c = decoded_cache_[key];  // clear() invalidated
     c.push_back(std::move(e));
@@ -338,7 +349,8 @@ const runtime::DecodedSnapshot& BranchExecutor::decoded(
       trace::raise_gauge(trace::Counter::hash_chain_max, c.size());
     }
   }
-  return *hit->snapshot;
+  if (commit) hit->counted = true;
+  return hit->snapshot;
 }
 
 namespace {
@@ -366,41 +378,6 @@ BranchExecutor::BranchResult quarantine(const Contained<T>& c) {
   r.attempts = c.attempts;
   r.error = c.error;
   return r;
-}
-
-/// The local fan-out: fn(k) for every k < n, results in order. Runs inline
-/// for one item or at --jobs 1. Otherwise it submits every item to `pool`
-/// (sized to default_jobs(), rebuilt when that changes), waits for all of
-/// them — the tasks reference the caller's frame — and reports every error
-/// together (AggregateBranchError) instead of dropping all but the first.
-template <typename Fn>
-auto fan_out(std::unique_ptr<ThreadPool>& pool, std::size_t n, Fn&& fn) {
-  using R = std::invoke_result_t<Fn&, std::size_t>;
-  std::vector<R> out;
-  out.reserve(n);
-  const unsigned jobs = default_jobs();
-  if (n <= 1 || jobs <= 1) {
-    for (std::size_t k = 0; k < n; ++k) out.push_back(fn(k));
-    return out;
-  }
-  if (pool == nullptr || pool->size() != jobs)
-    pool = std::make_unique<ThreadPool>(jobs);
-  std::vector<std::future<R>> futures;
-  futures.reserve(n);
-  for (std::size_t k = 0; k < n; ++k)
-    futures.push_back(pool->submit([&fn, k] { return fn(k); }));
-  std::vector<std::string> errors;
-  for (std::future<R>& f : futures) {
-    try {
-      out.push_back(f.get());
-    } catch (const std::exception& e) {
-      errors.push_back(e.what());
-    } catch (...) {
-      errors.push_back("unknown error");
-    }
-  }
-  if (!errors.empty()) throw AggregateBranchError(errors);
-  return out;
 }
 
 }  // namespace
@@ -442,14 +419,14 @@ auto BranchExecutor::contain(Time at, Fn&& attempt) const {
   }
 }
 
-Contained<const runtime::DecodedSnapshot*> BranchExecutor::try_decoded(
+Contained<BranchExecutor::DecodedPtr> BranchExecutor::try_decoded(
     const InjectionPoint& ip, const std::optional<Digest128>& content) {
   if (!content) {
-    Contained<const runtime::DecodedSnapshot*> cold;
+    Contained<DecodedPtr> cold;
     cold.value.emplace(nullptr);
     return cold;
   }
-  return contain(ip.time, [&] { return &decoded(ip, *content); });
+  return contain(ip.time, [&] { return decoded(ip, *content, true); });
 }
 
 ScenarioWorld BranchExecutor::enter(
@@ -599,10 +576,94 @@ BranchExecutor::BranchResult BranchExecutor::execute_unit(
   // merges this result through run_branches' merge stage, so the charge site
   // is the same one a local branch uses. A decode failure produces the same
   // quarantine record the local path would share across the batch.
-  const Contained<const runtime::DecodedSnapshot*> snap =
-      try_decoded(ip, content_of(ip));
+  const Contained<DecodedPtr> snap = try_decoded(ip, content_of(ip));
   if (!snap.value) return quarantine(snap);
-  return attempt_branch(*snap.value, ip, action, windows);
+  return attempt_branch(snap.value->get(), ip, action, windows);
+}
+
+BranchExecutor::MemoKey BranchExecutor::memo_key(
+    const InjectionPoint& ip, const std::optional<Digest128>& content,
+    const proxy::MaliciousAction* action, int windows) {
+  MemoKey k{ip.tag, ip.time, windows, content, {}};
+  if (action != nullptr) {
+    serial::Writer w;
+    action->save(w);
+    k.action = w.take();
+  }
+  return k;
+}
+
+auto BranchExecutor::owned_branch(DecodedPtr snap, InjectionPoint ip,
+                                  const proxy::MaliciousAction* action,
+                                  int windows) const {
+  std::optional<proxy::MaliciousAction> armed;
+  if (action != nullptr) armed = *action;
+  return [this, snap = std::move(snap), ip = std::move(ip),
+          armed = std::move(armed), windows] {
+    return attempt_branch(snap.get(), ip, armed ? &*armed : nullptr, windows);
+  };
+}
+
+ThreadPool& BranchExecutor::pool() {
+  const unsigned jobs = default_jobs();
+  if (pool_ == nullptr || pool_->size() != jobs)
+    pool_ = std::make_unique<ThreadPool>(jobs);
+  return *pool_;
+}
+
+void BranchExecutor::prefetch(
+    const InjectionPoint& ip,
+    const std::vector<const proxy::MaliciousAction*>& actions, int windows) {
+  TURRET_CHECK(windows >= 1);
+  // Coordinator batches stay per point; at --jobs 1 nothing could overlap.
+  if (default_jobs() <= 1 || remote_ != nullptr) return;
+  const std::optional<Digest128> content = content_of(ip);
+  std::vector<std::pair<std::size_t, MemoKey>> start;
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    MemoKey k = memo_key(ip, content, actions[i], windows);
+    if (memo_.contains(k) || in_flight_.contains(k)) continue;
+    if (journal_ != nullptr &&
+        journal_->holds(branch_key(ip, actions[i], windows)))
+      continue;
+    start.emplace_back(i, std::move(k));
+  }
+  if (start.empty()) return;
+  DecodedPtr snap;
+  if (content) {
+    try {
+      snap = decoded(ip, *content, false);
+    } catch (const std::exception&) {
+      return;  // run_branches decodes again and quarantines
+    }
+  }
+  ThreadPool& workers = pool();
+  for (auto& [i, k] : start) {
+    if (in_flight_.contains(k)) continue;  // a repeat within `actions`
+    auto state = std::make_shared<std::atomic<Claim>>(Claim::kQueued);
+    std::future<BranchResult> result = workers.submit(
+        [state, run = owned_branch(snap, ip, actions[i], windows)] {
+          // Once the search is cancelled, a branch no batch has claimed will
+          // never be waited for; neither will one the destructor discarded.
+          if (cancel_requested()) {
+            Claim queued = Claim::kQueued;
+            state->compare_exchange_strong(queued, Claim::kSkipped);
+          }
+          if (state->load() == Claim::kSkipped) return BranchResult{};
+          return run();
+        });
+    in_flight_.emplace(std::move(k), Prefetched{state, std::move(result)});
+  }
+}
+
+std::optional<std::future<BranchExecutor::BranchResult>> BranchExecutor::claim(
+    const MemoKey& key) {
+  const auto it = in_flight_.find(key);
+  if (it == in_flight_.end()) return std::nullopt;
+  Prefetched p = std::move(it->second);
+  in_flight_.erase(it);
+  if (p.state->exchange(Claim::kClaimed) == Claim::kSkipped)
+    return std::nullopt;
+  return std::move(p.result);
 }
 
 std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
@@ -620,15 +681,8 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
   const std::optional<Digest128> content = content_of(ip);
   std::vector<MemoKey> memo_keys;
   memo_keys.reserve(actions.size());
-  for (const proxy::MaliciousAction* action : actions) {
-    MemoKey& k = memo_keys.emplace_back(
-        MemoKey{ip.tag, ip.time, windows, content, {}});
-    if (action != nullptr) {
-      serial::Writer w;
-      action->save(w);
-      k.action = w.take();
-    }
-  }
+  for (const proxy::MaliciousAction* action : actions)
+    memo_keys.push_back(memo_key(ip, content, action, windows));
 
   // Journal replay: consume journaled results first (in input order, which
   // matches the order the interrupted run appended them). Only the misses
@@ -654,10 +708,9 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
 
   // Snapshot decode (points with a snapshot only). An unusable snapshot
   // quarantines every pending branch with the decode failure.
-  const runtime::DecodedSnapshot* snap = nullptr;
+  DecodedPtr snap;
   if (!live.empty()) {
-    const Contained<const runtime::DecodedSnapshot*> d =
-        try_decoded(ip, content);
+    const Contained<DecodedPtr> d = try_decoded(ip, content);
     if (d.value) {
       snap = *d.value;
     } else {
@@ -688,7 +741,7 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
     }
   }
 
-  dispatch(snap, ip, actions, run, windows, out);
+  dispatch(snap, ip, actions, memo_keys, run, windows, out);
 
   // Merge, in input order: charge (replayed entries charge the attempts they
   // recorded), record quarantines, add provenance, journal fresh results and
@@ -710,10 +763,10 @@ std::vector<BranchExecutor::BranchResult> BranchExecutor::run_branches(
 }
 
 void BranchExecutor::dispatch(
-    const runtime::DecodedSnapshot* snap, const InjectionPoint& ip,
+    const DecodedPtr& snap, const InjectionPoint& ip,
     const std::vector<const proxy::MaliciousAction*>& actions,
-    const std::vector<std::size_t>& run, int windows,
-    std::vector<BranchResult>& out) {
+    const std::vector<MemoKey>& keys, const std::vector<std::size_t>& run,
+    int windows, std::vector<BranchResult>& out) {
   // Whatever the remote backend could not place (no workers, every worker
   // died mid-batch) runs locally. Results are byte-identical either way:
   // workers run the same attempt_branch against the same decoded snapshot.
@@ -736,12 +789,43 @@ void BranchExecutor::dispatch(
   if (remote_ != nullptr) {
     trace::add(trace::Counter::dist_local_fallbacks, local.size());
   }
-  std::vector<BranchResult> results =
-      fan_out(pool_, local.size(), [&](std::size_t k) {
-        return attempt_branch(snap, ip, actions[local[k]], windows);
-      });
-  for (std::size_t k = 0; k < local.size(); ++k)
-    out[local[k]] = std::move(results[k]);
+
+  // Locally, what prefetch() started is claimed. The rest is demanded now:
+  // inline at --jobs 1 or when it is the only such entry, otherwise at the
+  // front of the pool queue, so it never waits behind prefetched work.
+  std::vector<std::future<BranchResult>> results(local.size());
+  std::vector<std::size_t> fresh;
+  for (std::size_t k = 0; k < local.size(); ++k) {
+    if (std::optional<std::future<BranchResult>> f = claim(keys[local[k]])) {
+      results[k] = std::move(*f);
+    } else {
+      fresh.push_back(k);
+    }
+  }
+  const bool inline_fresh = default_jobs() <= 1 || fresh.size() <= 1;
+  for (const std::size_t k : fresh) {
+    auto task = owned_branch(snap, ip, actions[local[k]], windows);
+    if (inline_fresh) {
+      std::packaged_task<BranchResult()> now(std::move(task));
+      results[k] = now.get_future();
+      now();
+    } else {
+      results[k] = pool().submit_front(std::move(task));
+    }
+  }
+  // Join every entry before an error escapes, and report every error
+  // together.
+  std::vector<std::string> errors;
+  for (std::size_t k = 0; k < local.size(); ++k) {
+    try {
+      out[local[k]] = results[k].get();
+    } catch (const std::exception& e) {
+      errors.push_back(e.what());
+    } catch (...) {
+      errors.push_back("unknown error");
+    }
+  }
+  if (!errors.empty()) throw AggregateBranchError(errors);
 }
 
 BranchExecutor::BranchResult BranchExecutor::try_run_branch(
@@ -763,26 +847,14 @@ BranchExecutor::BranchOutcome BranchExecutor::run_branch(
 }
 
 WindowPerf BranchExecutor::baseline(const InjectionPoint& ip) {
-  auto it = baseline_cache_.find(ip.tag);
-  if (it != baseline_cache_.end()) return it->second.perf;
-  const BranchOutcome out = run_branch(ip, nullptr, 1);
-  baseline_cache_[ip.tag] = {out.windows[0], branch_key(ip, nullptr, 1)};
-  return out.windows[0];
+  return run_branch(ip, nullptr, 1).windows[0];
 }
 
 std::optional<WindowPerf> BranchExecutor::try_baseline(
     const InjectionPoint& ip) {
-  auto it = baseline_cache_.find(ip.tag);
-  if (it != baseline_cache_.end()) return it->second.perf;
   BranchResult r = try_run_branch(ip, nullptr, 1);
   if (!r.ok()) return std::nullopt;  // quarantine recorded by run_branches
-  baseline_cache_[ip.tag] = {r.outcome->windows[0], branch_key(ip, nullptr, 1)};
   return r.outcome->windows[0];
-}
-
-std::string BranchExecutor::last_baseline_key(wire::TypeTag tag) const {
-  auto it = baseline_cache_.find(tag);
-  return it != baseline_cache_.end() ? it->second.key : std::string();
 }
 
 std::optional<BranchExecutor::InjectionPoint>
@@ -790,12 +862,11 @@ BranchExecutor::try_continue_branch(const InjectionPoint& ip,
                                     const proxy::MaliciousAction* action,
                                     Duration dur) {
   TURRET_CHECK_MSG(ip.snapshot != nullptr, "a continuation needs a snapshot");
-  const Contained<const runtime::DecodedSnapshot*> snap =
-      try_decoded(ip, content_of(ip));
+  const Contained<DecodedPtr> snap = try_decoded(ip, content_of(ip));
   Contained<InjectionPoint> next;
   if (snap.value) {
     next = contain(ip.time, [&] {
-      ScenarioWorld w = enter(*snap.value, action);
+      ScenarioWorld w = enter(snap.value->get(), action);
       w.testbed->run_until(ip.time + dur);
       w.proxy->disarm();
       InjectionPoint n;
@@ -834,9 +905,6 @@ BranchExecutor::try_continue_branch(const InjectionPoint& ip,
     record_failure(ip, action, quarantine(next));
     return std::nullopt;
   }
-  // A continuation invalidates the cached baseline only for branches from the
-  // *new* point; the cache is keyed by tag, so refresh lazily.
-  baseline_cache_.erase(ip.tag);
   return std::move(next.value);
 }
 

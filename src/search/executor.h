@@ -7,6 +7,8 @@
 // every malicious branch diverge only by the armed action (paper §III-B/C).
 #pragma once
 
+#include <atomic>
+#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -172,6 +174,14 @@ class BranchExecutor {
 
   explicit BranchExecutor(const Scenario& sc);
 
+  /// Discards every prefetched branch no run_branches claimed: a queued one
+  /// returns without building a world, and a running one is waited for
+  /// before any member is destroyed. Runs on normal exit and on unwinding
+  /// (CancelledError, AggregateBranchError).
+  ~BranchExecutor();
+  BranchExecutor(const BranchExecutor&) = delete;
+  BranchExecutor& operator=(const BranchExecutor&) = delete;
+
   /// Attach a write-ahead journal (nullptr detaches). Completed branch
   /// results are appended after each merge; results already recorded replay
   /// from the journal instead of executing, with identical cost charges, so
@@ -208,11 +218,6 @@ class BranchExecutor {
                                 const proxy::MaliciousAction* action,
                                 int windows);
 
-  /// branch_key of the baseline branch most recently cached for `tag`
-  /// (empty if none) — reports pair an attack with the baseline actually
-  /// compared against.
-  std::string last_baseline_key(wire::TypeTag tag) const;
-
   /// Benign pass: runs the system for sc.duration and snapshots at the first
   /// send (>= warmup) of each message type by a malicious node. Points come
   /// back in first-send order. Idempotent (cached).
@@ -247,12 +252,31 @@ class BranchExecutor {
   /// every repetition — takes that result without provenance instead of
   /// executing. It inherits outcome, attempts and error, so the merge
   /// charges, quarantines and journals it exactly like an execution.
+  ///
+  /// A branch prefetch() started is claimed instead of dispatched; the
+  /// merge treats it exactly like one started here.
   std::vector<BranchResult> run_branches(
       const InjectionPoint& ip,
       const std::vector<const proxy::MaliciousAction*>& actions, int windows);
 
-  /// Benign branch performance over the first window from `ip` (cached).
-  /// Throws after retry exhaustion.
+  /// Start, on the local pool, the branches a later
+  /// run_branches(ip, actions, windows) will request (DESIGN.md §5a). Only
+  /// execution moves earlier: charges, quarantines, journal records,
+  /// provenance and memo entries still happen when, and in the order,
+  /// run_branches asks. It skips entries the journal will replay, memo hits
+  /// and entries already in flight, and does nothing at --jobs 1, with a
+  /// remote backend attached, or when the point's snapshot fails to decode
+  /// (run_branches then decodes and quarantines). Each task owns copies of
+  /// `ip` and its action, so neither has to outlive this call. A prefetched
+  /// branch that is never requested is discarded by the destructor.
+  void prefetch(const InjectionPoint& ip,
+                const std::vector<const proxy::MaliciousAction*>& actions,
+                int windows);
+
+  /// Benign branch performance over the first window from `ip`: the
+  /// baseline branch run_branches(ip, {nullptr}, 1) commits on every call
+  /// (a repeat is a memo hit, charged like an execution). Throws after
+  /// retry exhaustion.
   WindowPerf baseline(const InjectionPoint& ip);
 
   /// Contained baseline: nullopt when the baseline branch was quarantined
@@ -295,6 +319,8 @@ class BranchExecutor {
   WindowPerf benign_performance();
 
  private:
+  using DecodedPtr = std::shared_ptr<const runtime::DecodedSnapshot>;
+
   WindowPerf measure(const runtime::Testbed& tb, Time t0, Time t1) const;
 
   /// The containment primitive (DESIGN.md §5b) and the search layer's one
@@ -335,50 +361,6 @@ class BranchExecutor {
   Duration charge_branch(const InjectionPoint& ip, std::uint32_t attempts,
                          int windows);
 
-  /// The dispatch stage: executes the entries `run` (indices into `actions`)
-  /// into `out` — on the remote backend when set_remote's conditions hold,
-  /// and on the local fan-out for whatever the backend did not place.
-  void dispatch(const runtime::DecodedSnapshot* snap, const InjectionPoint& ip,
-                const std::vector<const proxy::MaliciousAction*>& actions,
-                const std::vector<std::size_t>& run, int windows,
-                std::vector<BranchResult>& out);
-
-  void record_failure(const InjectionPoint& ip,
-                      const proxy::MaliciousAction* action,
-                      const BranchResult& r);
-
-  /// Decoded form of ip.snapshot, whose content digest is `key`: parsed once
-  /// per distinct blob and shared by every branch from that injection point.
-  const runtime::DecodedSnapshot& decoded(const InjectionPoint& ip,
-                                          const Digest128& key);
-
-  /// decoded() under contain(). A cold point (no `content` digest) succeeds
-  /// with a null snapshot and no attempts: it has nothing to decode.
-  Contained<const runtime::DecodedSnapshot*> try_decoded(
-      const InjectionPoint& ip, const std::optional<Digest128>& content);
-
-  const Scenario& sc_;
-  std::optional<std::vector<InjectionPoint>> points_;
-  struct BaselineEntry {
-    WindowPerf perf;
-    std::string key;  ///< branch_key of the cached baseline branch
-  };
-  std::map<wire::TypeTag, BaselineEntry> baseline_cache_;
-  std::optional<WindowPerf> benign_perf_;
-  SearchCost cost_;
-
-  struct DecodedEntry {
-    std::shared_ptr<const Bytes> blob;  ///< byte-compare settles hash ties
-    std::unique_ptr<const runtime::DecodedSnapshot> snapshot;
-  };
-  /// Keyed by blob content (Digest128 of the bytes), not blob address:
-  /// continuation chains and journal replays that re-materialize an identical
-  /// blob at a new address still hit. Each key holds a collision chain
-  /// settled by byte comparison as the backstop; chain growth is surfaced in
-  /// the hash_collisions / hash_chain_max counters.
-  std::map<Digest128, std::vector<DecodedEntry>> decoded_cache_;
-  std::size_t decoded_cache_entries_ = 0;
-
   /// A branch's exact identity. The action's wire form, not describe(),
   /// which rounds values; the snapshot's content, not its address, because
   /// greedy's continuations re-create identical blobs. The tag stays: the
@@ -392,12 +374,92 @@ class BranchExecutor {
 
     auto operator<=>(const MemoKey&) const = default;
   };
+  static MemoKey memo_key(const InjectionPoint& ip,
+                          const std::optional<Digest128>& content,
+                          const proxy::MaliciousAction* action, int windows);
+
+  /// The dispatch stage: executes the entries `run` (indices into `actions`)
+  /// into `out` — on the remote backend when set_remote's conditions hold,
+  /// and locally for whatever the backend did not place. Locally, entries
+  /// prefetch() started are claimed; the rest run now, ahead of prefetched
+  /// work. Every entry is joined before an error escapes.
+  void dispatch(const DecodedPtr& snap, const InjectionPoint& ip,
+                const std::vector<const proxy::MaliciousAction*>& actions,
+                const std::vector<MemoKey>& keys,
+                const std::vector<std::size_t>& run, int windows,
+                std::vector<BranchResult>& out);
+
+  /// The result of the prefetched branch `key`, taken out of the in-flight
+  /// table; nullopt when none is in flight, or when its task saw the search
+  /// cancelled and skipped it.
+  std::optional<std::future<BranchResult>> claim(const MemoKey& key);
+
+  /// attempt_branch as a task that owns copies of everything it reads, so
+  /// it may outlive the caller's point, action and cache entry.
+  auto owned_branch(DecodedPtr snap, InjectionPoint ip,
+                    const proxy::MaliciousAction* action, int windows) const;
+
+  /// The local pool, sized to default_jobs() and rebuilt when that changes.
+  ThreadPool& pool();
+
+  void record_failure(const InjectionPoint& ip,
+                      const proxy::MaliciousAction* action,
+                      const BranchResult& r);
+
+  /// Decoded form of ip.snapshot, whose content digest is `key`: parsed once
+  /// per distinct blob and shared by every branch from that injection point.
+  /// Only a `commit` lookup (one run_branches, a continuation or a dist unit
+  /// makes) counts in decode_hits/decode_misses, so a blob prefetch()
+  /// decoded first still counts its miss at its first committed lookup, as
+  /// at --jobs 1.
+  DecodedPtr decoded(const InjectionPoint& ip, const Digest128& key,
+                     bool commit);
+
+  /// A committed decoded() under contain(). A cold point (no `content`
+  /// digest) succeeds with a null snapshot and no attempts: it has nothing
+  /// to decode.
+  Contained<DecodedPtr> try_decoded(const InjectionPoint& ip,
+                                    const std::optional<Digest128>& content);
+
+  const Scenario& sc_;
+  std::optional<std::vector<InjectionPoint>> points_;
+  std::optional<WindowPerf> benign_perf_;
+  SearchCost cost_;
+
+  struct DecodedEntry {
+    std::shared_ptr<const Bytes> blob;  ///< byte-compare settles hash ties
+    /// Shared with the branch tasks restored from it, so the cache may drop
+    /// an entry while prefetched branches still use it.
+    DecodedPtr snapshot;
+    bool counted = false;  ///< a committed lookup has counted its miss
+  };
+  /// Keyed by blob content (Digest128 of the bytes), not blob address:
+  /// continuation chains and journal replays that re-materialize an identical
+  /// blob at a new address still hit. Each key holds a collision chain
+  /// settled by byte comparison as the backstop; chain growth is surfaced in
+  /// the hash_collisions / hash_chain_max counters.
+  std::map<Digest128, std::vector<DecodedEntry>> decoded_cache_;
+  std::size_t decoded_cache_entries_ = 0;
+
   /// Every result merged in this search, without provenance. Looked up and
   /// filled on run_branches' calling thread in input order, so hits are
   /// identical at any --jobs or worker count, and a resumed search (whose
   /// replays are memoized too) makes the uninterrupted run's hits.
   std::map<MemoKey, BranchResult> memo_;
-  /// Local fan-out pool, sized to default_jobs() and rebuilt when it changes.
+
+  /// Who gets a prefetched branch: still queued, claimed by run_branches
+  /// (its task must run), or skipped (its task returns without running).
+  enum class Claim : std::uint8_t { kQueued, kClaimed, kSkipped };
+  struct Prefetched {
+    std::shared_ptr<std::atomic<Claim>> state;  ///< shared with the task
+    std::future<BranchResult> result;
+  };
+  /// Branches prefetch() started that no run_branches has claimed yet.
+  /// Touched only on the calling thread.
+  std::map<MemoKey, Prefetched> in_flight_;
+
+  /// Local pool (see pool()). The destructor resets it first, so no task
+  /// outlives a member it reads.
   std::unique_ptr<ThreadPool> pool_;
   std::vector<FailedBranch> failed_;
   Journal* journal_ = nullptr;

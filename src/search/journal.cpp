@@ -86,6 +86,12 @@ std::optional<Bytes> Journal::replay(const std::string& key) {
   return it->second.payloads[it->second.next++];
 }
 
+bool Journal::holds(const std::string& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = pending_.find(key);
+  return it != pending_.end() && it->second.next < it->second.payloads.size();
+}
+
 void Journal::append(const std::string& key, BytesView payload) {
   std::lock_guard<std::mutex> lock(mu_);
   write_field(file_, key.data(), static_cast<std::uint32_t>(key.size()));

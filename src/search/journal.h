@@ -49,6 +49,9 @@ class Journal {
   /// or nullopt if none remain (the branch must then execute live).
   std::optional<Bytes> replay(const std::string& key);
 
+  /// Would replay(key) return a record right now? Consumes nothing.
+  bool holds(const std::string& key) const;
+
   /// Append one record and flush it to disk.
   void append(const std::string& key, BytesView payload);
 

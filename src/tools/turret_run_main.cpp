@@ -9,14 +9,19 @@
 // against the library would drive; systems registered here correspond to the
 // format descriptions in formats/.
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "common/fault.h"
 #include "dist/coordinator.h"
@@ -123,6 +128,56 @@ void usage() {
                "                        stdout artifacts are byte-unchanged\n"
                "  --list                list systems and exit\n");
 }
+
+/// `text` parsed whole as a T — no sign, space or suffix, and finite — or
+/// nullopt. "500ms" is not 500.
+template <typename T>
+std::optional<T> parse_whole(const char* text) {
+  const char* end = text + std::strlen(text);
+  T v{};
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || ptr == text) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return std::nullopt;
+  }
+  return v;
+}
+
+/// The integer value of `flag`'s argument, in [lo, hi]; otherwise an error
+/// and exit 2.
+template <typename T>
+T integer_arg(const std::string& flag, const char* text, T lo, T hi) {
+  const std::optional<T> v = parse_whole<T>(text);
+  if (!v || *v < lo || *v > hi) {
+    std::fprintf(stderr,
+                 "turret-run: %s wants an integer in [%s, %s], got '%s'\n",
+                 flag.c_str(), std::to_string(lo).c_str(),
+                 std::to_string(hi).c_str(), text);
+    std::exit(2);
+  }
+  return *v;
+}
+
+/// The value of `flag`'s argument, a number in (0, hi]; otherwise an error
+/// and exit 2.
+double positive_arg(const std::string& flag, const char* text,
+                    double hi = std::numeric_limits<double>::max()) {
+  const std::optional<double> v = parse_whole<double>(text);
+  if (!v || *v <= 0 || *v > hi) {
+    const std::string bound =
+        hi < std::numeric_limits<double>::max()
+            ? " of at most " + std::to_string(static_cast<long long>(hi))
+            : "";
+    std::fprintf(stderr, "turret-run: %s wants a positive number%s, got '%s'\n",
+                 flag.c_str(), bound.c_str(), text);
+    std::exit(2);
+  }
+  return *v;
+}
+
+/// Longest --window or --duration, in seconds: a million virtual seconds
+/// keeps every branch's end time far inside Time's range.
+constexpr double kMaxSeconds = 1e6;
 
 struct Options {
   std::string system;
@@ -280,35 +335,20 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--delta") {
-      o.delta = std::atof(next());
+      o.delta = positive_arg(arg, next());
     } else if (arg == "--window") {
-      o.window_sec = std::atof(next());
+      o.window_sec = positive_arg(arg, next(), kMaxSeconds);
     } else if (arg == "--duration") {
-      o.duration_sec = std::atof(next());
+      o.duration_sec = positive_arg(arg, next(), kMaxSeconds);
     } else if (arg == "--seed") {
-      o.seed = std::strtoull(next(), nullptr, 10);
+      o.seed = integer_arg<std::uint64_t>(
+          arg, next(), 0, std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--jobs") {
-      const long v = std::strtol(next(), nullptr, 10);
-      if (v < 1) {
-        std::fprintf(stderr, "turret-run: --jobs needs a positive integer\n");
-        return 2;
-      }
-      set_default_jobs(static_cast<unsigned>(v));
+      set_default_jobs(integer_arg<unsigned>(arg, next(), 1, 1024));
     } else if (arg == "--workers") {
-      const long v = std::strtol(next(), nullptr, 10);
-      if (v < 1) {
-        std::fprintf(stderr,
-                     "turret-run: --workers needs a positive integer\n");
-        return 2;
-      }
-      o.workers = static_cast<unsigned>(v);
+      o.workers = integer_arg<unsigned>(arg, next(), 1, 1024);
     } else if (arg == "--coordinator") {
-      const long v = std::strtol(next(), nullptr, 10);
-      if (v < 0 || v > 65535) {
-        std::fprintf(stderr, "turret-run: --coordinator wants a port 0-65535\n");
-        return 2;
-      }
-      o.coordinator_port = static_cast<int>(v);
+      o.coordinator_port = integer_arg<int>(arg, next(), 0, 65535);
     } else if (arg == "--connect") {
       o.connect = next();
     } else if (arg == "--no-verify") {
@@ -326,9 +366,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--faults") {
       o.faults = next();
     } else if (arg == "--max-retries") {
-      o.max_retries = static_cast<int>(std::strtol(next(), nullptr, 10));
+      o.max_retries = integer_arg<int>(arg, next(), 0, 1000);
     } else if (arg == "--branch-budget") {
-      o.branch_budget = std::strtoull(next(), nullptr, 10);
+      o.branch_budget = integer_arg<std::uint64_t>(
+          arg, next(), 1, std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--journal") {
       o.journal_path = next();
     } else if (arg == "--resume") {

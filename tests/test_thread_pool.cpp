@@ -4,8 +4,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/thread_pool.h"
 
@@ -40,6 +44,32 @@ TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
   });
   EXPECT_EQ(ok.get(), 1);
   EXPECT_THROW(bad.get(), std::runtime_error);
+}
+
+TEST(ThreadPool, FrontSubmitsRunBeforeQueuedTasks) {
+  ThreadPool pool(1);
+  std::promise<void> release;
+  std::mutex mu;
+  std::vector<std::string> order;
+  const auto record = [&](std::string name) {
+    return [&, name] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(name);
+    };
+  };
+  // The single worker blocks until every task below is queued.
+  auto gate = pool.submit([f = release.get_future().share()] { f.wait(); });
+  std::vector<std::future<void>> futures;
+  futures.push_back(pool.submit(record("queued-1")));
+  futures.push_back(pool.submit(record("queued-2")));
+  futures.push_back(pool.submit_front(record("front-1")));
+  futures.push_back(pool.submit(record("queued-3")));
+  futures.push_back(pool.submit_front(record("front-2")));
+  release.set_value();
+  gate.get();
+  for (auto& f : futures) f.get();
+  EXPECT_EQ(order, (std::vector<std::string>{"front-1", "front-2", "queued-1",
+                                             "queued-2", "queued-3"}));
 }
 
 TEST(ThreadPool, ShutdownRunsTasksStillQueued) {
