@@ -82,6 +82,10 @@ class Writer {
     if (o) per_value(*this, *o);
   }
 
+  /// Make room for `n` bytes in total, so writes up to that size append
+  /// without regrowing the buffer.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   const Bytes& data() const { return buf_; }
   Bytes take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }

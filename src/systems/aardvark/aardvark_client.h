@@ -2,10 +2,10 @@
 // broadcast retry on timeout).
 #pragma once
 
-#include <set>
 
 #include "systems/aardvark/aardvark_messages.h"
 #include "systems/replication/config.h"
+#include "systems/replication/node_set.h"
 #include "vm/guest.h"
 
 namespace turret::systems::aardvark {
@@ -30,7 +30,7 @@ class AardvarkClient final : public vm::GuestNode {
   std::uint64_t timestamp_ = 1;
   std::uint32_t primary_ = 0;
   Time sent_at_ = 0;
-  std::set<std::uint32_t> reply_replicas_;
+  NodeSet reply_replicas_;
 };
 
 }  // namespace turret::systems::aardvark

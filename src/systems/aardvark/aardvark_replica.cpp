@@ -213,7 +213,7 @@ void AardvarkReplica::handle_prepare(vm::GuestContext& ctx, NodeId src,
   charge_verify(ctx, cfg_.base);
   if (p.view != view_) return;
   LogEntry& e = log_[p.seq];
-  if (!e.prepares.insert(src).second) return;
+  if (!e.prepares.insert(src)) return;
   maybe_send_commit(ctx, p.seq);
 }
 
@@ -239,7 +239,7 @@ void AardvarkReplica::handle_commit(vm::GuestContext& ctx, NodeId src,
   charge_verify(ctx, cfg_.base);
   if (c.view != view_) return;
   LogEntry& e = log_[c.seq];
-  if (!e.commits.insert(src).second) return;
+  if (!e.commits.insert(src)) return;
   try_execute(ctx);
 }
 
@@ -332,7 +332,7 @@ void AardvarkReplica::handle_view_change(vm::GuestContext& ctx, NodeId src,
 
   if (vc.new_view <= view_) return;
   auto& votes = vc_votes_[vc.new_view];
-  if (!votes.insert(src).second) return;
+  if (!votes.insert(src)) return;
   if (votes.size() >= cfg_.base.f + 1 && !in_view_change_) {
     demand_view_change(ctx);
   }

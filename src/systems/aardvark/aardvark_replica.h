@@ -16,10 +16,10 @@
 #pragma once
 
 #include <map>
-#include <set>
 
 #include "systems/aardvark/aardvark_messages.h"
 #include "systems/replication/config.h"
+#include "systems/replication/node_set.h"
 #include "vm/guest.h"
 
 namespace turret::systems::aardvark {
@@ -69,8 +69,8 @@ class AardvarkReplica final : public vm::GuestNode {
     Bytes payload;
     std::uint32_t client = 0;
     std::uint64_t timestamp = 0;
-    std::set<std::uint32_t> prepares;
-    std::set<std::uint32_t> commits;
+    NodeSet prepares;
+    NodeSet commits;
     bool pre_prepared = false;
     bool prepare_sent = false;
     bool commit_sent = false;
@@ -106,7 +106,7 @@ class AardvarkReplica final : public vm::GuestNode {
   std::map<std::uint64_t, LogEntry> log_;
   std::map<std::pair<std::uint32_t, std::uint64_t>, Bytes> pending_;
   std::map<std::uint32_t, std::uint64_t> executed_ts_;
-  std::map<std::uint32_t, std::set<std::uint32_t>> vc_votes_;
+  std::map<std::uint32_t, NodeSet> vc_votes_;
 
   // Flooding protection token buckets (per peer).
   std::map<NodeId, double> tokens_;

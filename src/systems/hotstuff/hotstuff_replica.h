@@ -19,10 +19,10 @@
 #pragma once
 
 #include <map>
-#include <set>
 
 #include "systems/hotstuff/hotstuff_messages.h"
 #include "systems/replication/config.h"
+#include "systems/replication/node_set.h"
 #include "vm/guest.h"
 #include "wire/signed_adapter.h"
 
@@ -84,7 +84,7 @@ class HotstuffReplica final : public vm::GuestNode {
   QC high_qc_;                    ///< genesis: view 0, height 0, empty digest
   std::uint64_t exec_height_ = 0;
   std::map<Bytes, Block> blocks_;
-  std::map<std::pair<std::uint32_t, Bytes>, std::set<std::uint32_t>> votes_;
+  std::map<std::pair<std::uint32_t, Bytes>, NodeSet> votes_;
   std::map<std::uint32_t, std::map<std::uint32_t, QC>> newviews_;
   std::map<std::uint32_t, std::pair<std::uint64_t, Bytes>> pending_;
   std::map<std::uint32_t, std::uint64_t> proposed_ts_;

@@ -4,10 +4,10 @@
 // replies. Reports "updates" and "latency_ms".
 #pragma once
 
-#include <set>
 
 #include "systems/minbft/minbft_messages.h"
 #include "systems/replication/config.h"
+#include "systems/replication/node_set.h"
 #include "vm/guest.h"
 #include "wire/signed_adapter.h"
 
@@ -36,7 +36,7 @@ class MinbftClient final : public vm::GuestNode {
   const wire::SignedAdapter* adapter_;
   std::uint64_t timestamp_ = 1;
   Time sent_at_ = 0;
-  std::set<std::uint32_t> reply_replicas_;
+  NodeSet reply_replicas_;
 };
 
 }  // namespace turret::systems::minbft

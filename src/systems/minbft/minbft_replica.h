@@ -21,10 +21,10 @@
 #pragma once
 
 #include <map>
-#include <set>
 
 #include "systems/minbft/minbft_messages.h"
 #include "systems/replication/config.h"
+#include "systems/replication/node_set.h"
 #include "vm/guest.h"
 #include "wire/signed_adapter.h"
 
@@ -57,7 +57,7 @@ class MinbftReplica final : public vm::GuestNode {
     std::uint64_t timestamp = 0;
     std::uint32_t client = 0;
     Bytes payload;
-    std::set<std::uint32_t> committers;  ///< includes the primary
+    NodeSet committers;  ///< includes the primary
     bool executed = false;
   };
 
@@ -89,8 +89,8 @@ class MinbftReplica final : public vm::GuestNode {
   std::uint64_t stable_seq_ = 0;     ///< highest f+1-agreed checkpoint
   std::map<std::uint32_t, std::uint64_t> last_ui_;  ///< per-sender USIG watermark
   std::map<std::uint64_t, Entry> log_;
-  std::map<std::uint64_t, std::set<std::uint32_t>> checkpoints_;
-  std::map<std::uint32_t, std::set<std::uint32_t>> view_change_reqs_;
+  std::map<std::uint64_t, NodeSet> checkpoints_;
+  std::map<std::uint32_t, NodeSet> view_change_reqs_;
   std::map<std::uint32_t, std::pair<std::uint64_t, Bytes>> pending_;
   std::map<std::uint32_t, std::uint64_t> prepared_ts_;
   std::map<std::uint32_t, std::uint64_t> executed_ts_;

@@ -8,10 +8,10 @@
 // series) and "latency_ms" per completed update.
 #pragma once
 
-#include <set>
 
 #include "systems/pbft/pbft_messages.h"
 #include "systems/replication/config.h"
+#include "systems/replication/node_set.h"
 #include "vm/guest.h"
 
 namespace turret::systems::pbft {
@@ -38,7 +38,7 @@ class PbftClient final : public vm::GuestNode {
   std::uint64_t timestamp_ = 1;
   std::uint32_t primary_ = 0;
   Time sent_at_ = 0;
-  std::set<std::uint32_t> reply_replicas_;
+  NodeSet reply_replicas_;
 };
 
 }  // namespace turret::systems::pbft

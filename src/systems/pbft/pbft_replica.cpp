@@ -296,7 +296,7 @@ void PbftReplica::handle_prepare(vm::GuestContext& ctx, NodeId src,
   charge_verify(ctx, cfg_);
   if (p.view != view_) return;
   LogEntry& e = log_[p.seq];
-  if (!e.prepares.insert(src).second) {
+  if (!e.prepares.insert(src)) {
     // Duplicate prepare: peer may have missed our Commit — resend it
     // (rate-limited), the catch-up path duplicate storms ride on.
     if (e.commit_sent && (e.last_commit_resend < 0 ||
@@ -336,7 +336,7 @@ void PbftReplica::handle_commit(vm::GuestContext& ctx, NodeId src,
   charge_verify(ctx, cfg_);
   if (c.view != view_) return;
   LogEntry& e = log_[c.seq];
-  if (!e.commits.insert(src).second) return;  // duplicate: cost only
+  if (!e.commits.insert(src)) return;  // duplicate: cost only
   try_execute(ctx);
 }
 
@@ -387,7 +387,7 @@ void PbftReplica::handle_checkpoint(vm::GuestContext& ctx, NodeId src,
   const Checkpoint cp = Checkpoint::decode(r);
   charge_verify(ctx, cfg_);
   auto& votes = checkpoint_votes_[cp.seq];
-  if (!votes.insert(src).second) return;
+  if (!votes.insert(src)) return;
   if (votes.size() >= cfg_.quorum() && cp.seq > stable_seq_) {
     stable_seq_ = cp.seq;
     // Garbage-collect the log below the stable checkpoint.
@@ -477,7 +477,7 @@ void PbftReplica::handle_view_change(vm::GuestContext& ctx, NodeId src,
 
   if (vc.new_view <= view_) return;
   auto& votes = vc_votes_[vc.new_view];
-  if (!votes.insert(src).second) return;
+  if (!votes.insert(src)) return;
 
   // Join a view change the quorum is demanding even if our own timer has not
   // fired (f+1 rule), and complete it as the new primary on 2f votes.

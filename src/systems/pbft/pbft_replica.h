@@ -21,10 +21,10 @@
 #pragma once
 
 #include <map>
-#include <set>
 
 #include "systems/pbft/pbft_messages.h"
 #include "systems/replication/config.h"
+#include "systems/replication/node_set.h"
 #include "vm/guest.h"
 
 namespace turret::systems::pbft {
@@ -59,8 +59,8 @@ class PbftReplica final : public vm::GuestNode {
     Bytes payload;
     std::uint32_t client = 0;
     std::uint64_t timestamp = 0;
-    std::set<std::uint32_t> prepares;
-    std::set<std::uint32_t> commits;
+    NodeSet prepares;
+    NodeSet commits;
     bool pre_prepared = false;
     bool prepare_sent = false;
     bool commit_sent = false;
@@ -113,9 +113,9 @@ class PbftReplica final : public vm::GuestNode {
   /// Highest executed timestamp per client (reply dedup).
   std::map<std::uint32_t, std::uint64_t> executed_ts_;
   /// View-change votes per target view.
-  std::map<std::uint32_t, std::set<std::uint32_t>> vc_votes_;
+  std::map<std::uint32_t, NodeSet> vc_votes_;
   /// Checkpoint votes: seq → replicas.
-  std::map<std::uint64_t, std::set<std::uint32_t>> checkpoint_votes_;
+  std::map<std::uint64_t, NodeSet> checkpoint_votes_;
 };
 
 }  // namespace turret::systems::pbft

@@ -2,10 +2,10 @@
 // completes on f+1 matching replies.
 #pragma once
 
-#include <set>
 
 #include "systems/prime/prime_messages.h"
 #include "systems/prime/prime_replica.h"
+#include "systems/replication/node_set.h"
 #include "vm/guest.h"
 
 namespace turret::systems::prime {
@@ -30,7 +30,7 @@ class PrimeClient final : public vm::GuestNode {
   NodeId origin_;
   std::uint64_t timestamp_ = 1;
   Time sent_at_ = 0;
-  std::set<std::uint32_t> reply_replicas_;
+  NodeSet reply_replicas_;
 };
 
 }  // namespace turret::systems::prime

@@ -214,7 +214,7 @@ void PrimeReplica::handle_prepare(vm::GuestContext& ctx, NodeId src,
   charge_verify(ctx, cfg_.base);
   if (p.view != view_) return;
   Round& round = rounds_[p.seq];
-  if (!round.prepares.insert(src).second) return;
+  if (!round.prepares.insert(src)) return;
   if (round.prepare_sent && !round.commit_sent &&
       round.prepares.size() >= 2 * cfg_.base.f + 1) {
     round.commit_sent = true;
@@ -235,7 +235,7 @@ void PrimeReplica::handle_commit(vm::GuestContext& ctx, NodeId src,
   charge_verify(ctx, cfg_.base);
   if (c.view != view_) return;
   Round& round = rounds_[c.seq];
-  if (!round.commits.insert(src).second) return;
+  if (!round.commits.insert(src)) return;
   advance_committed(ctx);
 }
 
@@ -315,7 +315,7 @@ void PrimeReplica::handle_new_leader(vm::GuestContext& ctx, NodeId src,
 
   if (nl.new_view <= view_) return;
   auto& votes = suspicion_votes_[nl.new_view];
-  if (!votes.insert(src).second) return;
+  if (!votes.insert(src)) return;
   if (votes.size() >= cfg_.base.f + 1) {
     view_ = nl.new_view;
     suspicion_votes_.erase(suspicion_votes_.begin(),

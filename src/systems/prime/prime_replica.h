@@ -20,11 +20,11 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <vector>
 
 #include "systems/prime/prime_messages.h"
 #include "systems/replication/config.h"
+#include "systems/replication/node_set.h"
 #include "vm/guest.h"
 
 namespace turret::systems::prime {
@@ -81,7 +81,7 @@ class PrimeReplica final : public vm::GuestNode {
   /// Updates received as PO-Requests: (origin, po_seq) → update bytes.
   std::map<std::pair<std::uint32_t, std::uint64_t>, Bytes> po_requests_;
   /// Ack sets for updates this replica originated.
-  std::map<std::uint64_t, std::set<std::uint32_t>> po_acks_;
+  std::map<std::uint64_t, NodeSet> po_acks_;
   /// Per-origin highest contiguous PO-Request received (this replica's view).
   std::vector<std::uint64_t> po_received_;
   /// Latest summary vector advertised by each replica.
@@ -93,8 +93,8 @@ class PrimeReplica final : public vm::GuestNode {
   std::uint64_t expected_seq_ = 1;  ///< contiguous ordering cursor
   struct Round {
     Bytes matrix;
-    std::set<std::uint32_t> prepares;
-    std::set<std::uint32_t> commits;
+    NodeSet prepares;
+    NodeSet commits;
     bool prepare_sent = false;
     bool commit_sent = false;
     bool committed = false;
@@ -107,7 +107,7 @@ class PrimeReplica final : public vm::GuestNode {
 
   // --- suspect leader --------------------------------------------------------
   bool fresh_pre_prepare_ = false;  ///< arrived since the last TAT check
-  std::map<std::uint32_t, std::set<std::uint32_t>> suspicion_votes_;
+  std::map<std::uint32_t, NodeSet> suspicion_votes_;
 };
 
 }  // namespace turret::systems::prime

@@ -25,18 +25,20 @@ inline Bytes seal_message(const wire::SignedAdapter* adapter,
                           Bytes inner) {
   if (adapter == nullptr) return inner;
   charge_sign(ctx, cfg);
-  return adapter->seal(ctx.self(), std::move(inner));
+  return adapter->seal(ctx.self(), inner);
 }
 
 /// Check and strip an incoming message's authenticator. Returns the inner
-/// wire bytes when the MAC verifies (or no adapter is configured); nullopt
-/// when it does not — the caller drops the message. Verification burns CPU
-/// either way, and a failure counts one TamperDetected observation: the
-/// receiver catches the mutation, but catching it is all it can do.
-inline std::optional<Bytes> verify_open(const wire::SignedAdapter* adapter,
-                                        vm::GuestContext& ctx,
-                                        const BftConfig& cfg, BytesView msg) {
-  if (adapter == nullptr) return Bytes(msg.begin(), msg.end());
+/// wire bytes when the MAC verifies (or no adapter is configured), as a view
+/// into `msg` that is valid only while `msg` is; nullopt when it does not —
+/// the caller drops the message. Verification burns CPU either way, and a
+/// failure counts one TamperDetected observation: the receiver catches the
+/// mutation, but catching it is all it can do.
+inline std::optional<BytesView> verify_open(const wire::SignedAdapter* adapter,
+                                            vm::GuestContext& ctx,
+                                            const BftConfig& cfg,
+                                            BytesView msg) {
+  if (adapter == nullptr) return msg;
   charge_verify(ctx, cfg);
   const auto opened = adapter->open(msg);
   if (!opened || !opened->verified) {

@@ -3,8 +3,8 @@
 // leader site.
 #pragma once
 
-#include <set>
 
+#include "systems/replication/node_set.h"
 #include "systems/steward/steward_messages.h"
 #include "systems/steward/steward_replica.h"
 #include "vm/guest.h"
@@ -31,7 +31,7 @@ class StewardClient final : public vm::GuestNode {
   StewardConfig cfg_;
   std::uint64_t timestamp_ = 1;
   Time sent_at_ = 0;
-  std::set<std::uint32_t> reply_replicas_;
+  NodeSet reply_replicas_;
 };
 
 }  // namespace turret::systems::steward

@@ -232,7 +232,7 @@ void StewardReplica::handle_local_prepare(vm::GuestContext& ctx, NodeId src,
   charge_verify(ctx, cfg_.base);
   if (lp.site != my_site(ctx) || lp.local_view != local_view_) return;
   Entry& e = log_[lp.seq];
-  if (!e.prepares.insert(src).second) return;
+  if (!e.prepares.insert(src)) return;
   maybe_accept(ctx, lp.seq);
 }
 

@@ -15,9 +15,9 @@
 #pragma once
 
 #include <map>
-#include <set>
 
 #include "systems/replication/config.h"
+#include "systems/replication/node_set.h"
 #include "systems/steward/steward_messages.h"
 #include "vm/guest.h"
 
@@ -104,7 +104,7 @@ class StewardReplica final : public vm::GuestNode {
 
   struct Entry {
     Bytes request;
-    std::set<std::uint32_t> prepares;
+    NodeSet prepares;
     bool pre_prepared = false;
     bool prepare_sent = false;
     bool locally_prepared = false;
@@ -121,7 +121,7 @@ class StewardReplica final : public vm::GuestNode {
   /// Client updates awaiting ordering, keyed by (client, timestamp).
   std::map<std::pair<std::uint32_t, std::uint64_t>, Bytes> pending_;
   std::map<std::uint32_t, std::uint64_t> executed_ts_;
-  std::map<std::uint32_t, std::set<std::uint32_t>> lvc_votes_;
+  std::map<std::uint32_t, NodeSet> lvc_votes_;
 };
 
 }  // namespace turret::systems::steward

@@ -7,9 +7,9 @@
 // (3.90/3.95/4.02 ms benign → 3.95/5.32/5.40 ms under attack).
 #pragma once
 
-#include <set>
 
 #include "systems/replication/config.h"
+#include "systems/replication/node_set.h"
 #include "systems/zyzzyva/zyzzyva_messages.h"
 #include "vm/guest.h"
 
@@ -42,8 +42,8 @@ class ZyzzyvaClient final : public vm::GuestNode {
   Time sent_at_ = 0;
   std::uint64_t spec_seq_ = 0;
   bool commit_phase_ = false;
-  std::set<std::uint32_t> spec_replicas_;
-  std::set<std::uint32_t> commit_replicas_;
+  NodeSet spec_replicas_;
+  NodeSet commit_replicas_;
 };
 
 }  // namespace turret::systems::zyzzyva

@@ -171,7 +171,7 @@ void ZyzzyvaReplica::handle_view_change(vm::GuestContext& ctx, NodeId src,
 
   if (vc.new_view <= view_) return;
   auto& votes = vc_votes_[vc.new_view];
-  if (!votes.insert(src).second) return;
+  if (!votes.insert(src)) return;
   if (votes.size() >= cfg_.f + 1 && !in_view_change_) {
     in_view_change_ = true;
     ViewChange mine;

@@ -9,9 +9,9 @@
 #pragma once
 
 #include <map>
-#include <set>
 
 #include "systems/replication/config.h"
+#include "systems/replication/node_set.h"
 #include "systems/zyzzyva/zyzzyva_messages.h"
 #include "vm/guest.h"
 
@@ -70,7 +70,7 @@ class ZyzzyvaReplica final : public vm::GuestNode {
   /// (client, timestamp).
   std::map<std::pair<std::uint32_t, std::uint64_t>, Bytes> pending_;
   std::map<std::uint32_t, std::uint64_t> executed_ts_;
-  std::map<std::uint32_t, std::set<std::uint32_t>> vc_votes_;
+  std::map<std::uint32_t, NodeSet> vc_votes_;
 };
 
 }  // namespace turret::systems::zyzzyva

@@ -43,6 +43,7 @@ void VirtualMachine::mark_crashed(Time at, std::string reason) {
   crash_time_ = at;
   crash_reason_ = std::move(reason);
   queue_.clear();
+  head_ = 0;
   handler_pending_ = false;
 }
 
@@ -52,7 +53,7 @@ std::optional<Duration> VirtualMachine::enqueue(Time now, GuestInput input) {
   if (handler_pending_) return std::nullopt;
   // CPU idle: announce when the front input's handler completes.
   const Time start = std::max(busy_until_, now);
-  busy_until_ = start + queue_.front().cost;
+  busy_until_ = start + queue_[head_].cost;
   handler_pending_ = true;
   return busy_until_ - now;
 }
@@ -60,11 +61,18 @@ std::optional<Duration> VirtualMachine::enqueue(Time now, GuestInput input) {
 std::optional<GuestInput> VirtualMachine::begin_handler(Time now) {
   (void)now;
   if (crashed()) return std::nullopt;  // stale completion event
-  TURRET_CHECK_MSG(handler_pending_ && !queue_.empty(),
+  TURRET_CHECK_MSG(handler_pending_ && head_ < queue_.size(),
                    "handler completion without a pending input");
   handler_pending_ = false;
-  GuestInput in = std::move(queue_.front());
-  queue_.pop_front();
+  GuestInput in = std::move(queue_[head_++]);
+  if (head_ == queue_.size()) {
+    queue_.clear();
+    head_ = 0;
+  } else if (head_ * 2 >= queue_.size()) {
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
   return in;
 }
 
@@ -72,8 +80,8 @@ std::optional<Duration> VirtualMachine::finish_handler(Time now,
                                                        Duration extra_cpu) {
   if (crashed()) return std::nullopt;  // the handler crashed the guest
   busy_until_ = now + std::max<Duration>(extra_cpu, 0);
-  if (queue_.empty()) return std::nullopt;
-  busy_until_ += queue_.front().cost;
+  if (head_ == queue_.size()) return std::nullopt;
+  busy_until_ += queue_[head_].cost;
   handler_pending_ = true;
   return busy_until_ - now;
 }
@@ -82,8 +90,8 @@ void VirtualMachine::save(serial::Writer& w) const {
   w.u8(static_cast<std::uint8_t>(state_));
   w.str(crash_reason_);
   w.i64(crash_time_);
-  w.u32(static_cast<std::uint32_t>(queue_.size()));
-  for (const GuestInput& in : queue_) in.save(w);
+  w.u32(static_cast<std::uint32_t>(queued_inputs()));
+  for (std::size_t i = head_; i < queue_.size(); ++i) queue_[i].save(w);
   w.i64(busy_until_);
   w.boolean(handler_pending_);
   std::uint64_t rng_state[4];
@@ -98,6 +106,7 @@ void VirtualMachine::load(serial::Reader& r) {
   crash_time_ = r.i64();
   const std::uint32_t n = r.u32();
   queue_.clear();
+  head_ = 0;
   for (std::uint32_t i = 0; i < n; ++i) queue_.push_back(GuestInput::load(r));
   busy_until_ = r.i64();
   handler_pending_ = r.boolean();

@@ -7,10 +7,10 @@
 // handler completes, and the handler runs at that completion instant.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/msgbuf.h"
 #include "common/rng.h"
@@ -77,7 +77,7 @@ class VirtualMachine {
   /// the delay until the *next* queued input's completion, if any.
   std::optional<Duration> finish_handler(Time now, Duration extra_cpu);
 
-  std::size_t queued_inputs() const { return queue_.size(); }
+  std::size_t queued_inputs() const { return queue_.size() - head_; }
   Time busy_until() const { return busy_until_; }
 
   // --- Snapshot (state only; the guest object is recreated by the caller) --
@@ -94,7 +94,11 @@ class VirtualMachine {
   std::string crash_reason_;
   Time crash_time_ = -1;
 
-  std::deque<GuestInput> queue_;
+  /// Waiting inputs are queue_[head_, size). Consumed slots are reclaimed
+  /// when the queue drains (clear() keeps the capacity) or once they make up
+  /// half of it, so a steady enqueue/handle cycle allocates nothing.
+  std::vector<GuestInput> queue_;
+  std::size_t head_ = 0;
   Time busy_until_ = 0;
   bool handler_pending_ = false;  ///< a kHandlerDone event is in flight
 };

@@ -1,8 +1,35 @@
 #include "wire/message.h"
 
+#include <bit>
 #include <cstdio>
+#include <cstring>
 
 namespace turret::wire {
+
+namespace {
+
+template <typename T>
+T load(BytesView data) {
+  T v;
+  std::memcpy(&v, data.data(), sizeof v);
+  return v;
+}
+
+template <typename T>
+std::uint64_t widen_signed(BytesView data) {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(load<T>(data)));
+}
+
+Value scalar_value(FieldType type, BytesView data) {
+  const std::uint64_t bits = scalar_bits(type, data);
+  if (type == FieldType::kBool) return Value::of_bool(bits != 0);
+  if (is_signed_integer(type))
+    return Value::of_signed(static_cast<std::int64_t>(bits));
+  if (is_unsigned_integer(type)) return Value::of_unsigned(bits);
+  return Value::of_double(std::bit_cast<double>(bits));
+}
+
+}  // namespace
 
 std::string Value::to_string() const {
   if (is_bool()) return as_bool() ? "true" : "false";
@@ -38,6 +65,58 @@ TypeTag peek_tag(BytesView wire) {
   return static_cast<TypeTag>(wire[0] | (wire[1] << 8));
 }
 
+bool FieldWalker::fits(std::size_t at, std::size_t n) {
+  if (at + n <= wire_.size()) return true;
+  need_ = n;
+  need_at_ = at;
+  return false;
+}
+
+bool FieldWalker::next() {
+  if (need_ != 0 || read_ == spec_->fields.size()) return false;
+  const FieldType type = spec_->fields[read_].type;
+  std::size_t at = pos_;
+  std::size_t len = scalar_size(type);
+  if (type == FieldType::kBytes) {
+    if (!fits(at, 4)) return false;
+    len = load<std::uint32_t>(wire_.subspan(at, 4));
+    at += 4;
+  }
+  if (!fits(at, len)) return false;
+  data_ = wire_.subspan(at, len);
+  pos_ = at + len;
+  ++read_;
+  return true;
+}
+
+std::string FieldWalker::error() const {
+  if (need_ != 0)
+    return "truncated input: need " + std::to_string(need_) +
+           " bytes at offset " + std::to_string(need_at_) + " of " +
+           std::to_string(wire_.size());
+  return std::to_string(wire_.size() - pos_) + " trailing bytes";
+}
+
+std::uint64_t scalar_bits(FieldType type, BytesView data) {
+  switch (type) {
+    case FieldType::kBool: return data[0] != 0 ? 1 : 0;
+    case FieldType::kI8: return widen_signed<std::int8_t>(data);
+    case FieldType::kI16: return widen_signed<std::int16_t>(data);
+    case FieldType::kI32: return widen_signed<std::int32_t>(data);
+    case FieldType::kI64: return load<std::uint64_t>(data);
+    case FieldType::kU8: return load<std::uint8_t>(data);
+    case FieldType::kU16: return load<std::uint16_t>(data);
+    case FieldType::kU32: return load<std::uint32_t>(data);
+    case FieldType::kU64: return load<std::uint64_t>(data);
+    case FieldType::kF32:
+      return std::bit_cast<std::uint64_t>(
+          static_cast<double>(load<float>(data)));
+    case FieldType::kF64: return load<std::uint64_t>(data);
+    case FieldType::kBytes: break;
+  }
+  return 0;
+}
+
 DecodedMessage decode(const Schema& schema, BytesView wire) {
   serial::Reader r(wire);
   TypeTag tag;
@@ -53,29 +132,15 @@ DecodedMessage decode(const Schema& schema, BytesView wire) {
   DecodedMessage msg;
   msg.spec = spec;
   msg.values.reserve(spec->fields.size());
-  try {
-    for (const FieldSpec& f : spec->fields) {
-      switch (f.type) {
-        case FieldType::kBool: msg.values.push_back(Value::of_bool(r.boolean())); break;
-        case FieldType::kI8: msg.values.push_back(Value::of_signed(r.i8())); break;
-        case FieldType::kI16: msg.values.push_back(Value::of_signed(r.i16())); break;
-        case FieldType::kI32: msg.values.push_back(Value::of_signed(r.i32())); break;
-        case FieldType::kI64: msg.values.push_back(Value::of_signed(r.i64())); break;
-        case FieldType::kU8: msg.values.push_back(Value::of_unsigned(r.u8())); break;
-        case FieldType::kU16: msg.values.push_back(Value::of_unsigned(r.u16())); break;
-        case FieldType::kU32: msg.values.push_back(Value::of_unsigned(r.u32())); break;
-        case FieldType::kU64: msg.values.push_back(Value::of_unsigned(r.u64())); break;
-        case FieldType::kF32: msg.values.push_back(Value::of_double(r.f32())); break;
-        case FieldType::kF64: msg.values.push_back(Value::of_double(r.f64())); break;
-        case FieldType::kBytes: msg.values.push_back(Value::of_bytes(r.bytes())); break;
-      }
-    }
-  } catch (const serial::SerialError& e) {
-    throw WireError("decode " + spec->name + ": " + e.what());
+  FieldWalker walk(*spec, wire);
+  while (walk.next()) {
+    const BytesView data = walk.data();
+    msg.values.push_back(walk.field().type == FieldType::kBytes
+                             ? Value::of_bytes(Bytes(data.begin(), data.end()))
+                             : scalar_value(walk.field().type, data));
   }
-  if (!r.exhausted())
-    throw WireError("decode " + spec->name + ": " +
-                    std::to_string(r.remaining()) + " trailing bytes");
+  if (!walk.complete())
+    throw WireError("decode " + spec->name + ": " + walk.error());
   return msg;
 }
 
@@ -83,7 +148,15 @@ Bytes encode(const DecodedMessage& msg) {
   if (!msg.spec) throw WireError("encode: message has no spec");
   if (msg.values.size() != msg.spec->fields.size())
     throw WireError("encode " + msg.spec->name + ": value count mismatch");
+  std::size_t size = 2;
+  for (std::size_t i = 0; i < msg.values.size(); ++i) {
+    const FieldType t = msg.spec->fields[i].type;
+    size += t == FieldType::kBytes && msg.values[i].is_bytes()
+                ? 4 + msg.values[i].as_bytes().size()
+                : scalar_size(t);
+  }
   serial::Writer w;
+  w.reserve(size);
   w.u16(msg.spec->tag);
   for (std::size_t i = 0; i < msg.values.size(); ++i) {
     const FieldType t = msg.spec->fields[i].type;

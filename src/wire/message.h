@@ -65,6 +65,56 @@ struct DecodedMessage {
 /// buffer is shorter than 2 bytes.
 TypeTag peek_tag(BytesView wire);
 
+/// The fields of one message, read where they sit on the wire. This is the
+/// one place that steps through a schema's layout: decode() copies each
+/// field into a Value, and SignedAdapter hashes the signed ones in place.
+class FieldWalker {
+ public:
+  /// `wire` is the whole message, at least its 2-byte tag; `spec` describes
+  /// that tag.
+  FieldWalker(const MessageSpec& spec, BytesView wire)
+      : spec_(&spec), wire_(wire) {}
+
+  /// Step to the next field. False once every field was read, or when the
+  /// next one runs past the end of the buffer; complete() tells which.
+  bool next();
+
+  /// The field next() stepped to: its index, spec and bytes — a scalar's
+  /// little-endian encoding, or a bytes field's content without its length
+  /// prefix.
+  std::size_t index() const { return read_ - 1; }
+  const FieldSpec& field() const { return spec_->fields[read_ - 1]; }
+  BytesView data() const { return data_; }
+
+  /// After next() returned false: every field was read and no bytes trail
+  /// the last one — exactly when decode() succeeds.
+  bool complete() const {
+    return need_ == 0 && read_ == spec_->fields.size() &&
+           pos_ == wire_.size();
+  }
+  /// Why the message is not complete(), in decode()'s words.
+  std::string error() const;
+
+ private:
+  /// True if `n` bytes at `at` are in the buffer; records the shortfall
+  /// otherwise.
+  bool fits(std::size_t at, std::size_t n);
+
+  const MessageSpec* spec_;
+  BytesView wire_;
+  std::size_t pos_ = 2;  ///< offset of the next field (past the tag)
+  std::size_t read_ = 0;  ///< fields stepped to so far
+  BytesView data_;
+  std::size_t need_ = 0;  ///< bytes a truncated read wanted (0: none)
+  std::size_t need_at_ = 0;
+};
+
+/// A scalar field's value as the 64-bit word decode() normalizes it to:
+/// signed integers sign-extended, unsigned ones zero-extended, f32 widened
+/// to double and either float as the double's bits, bool as 0 or 1. `data`
+/// is the field's little-endian encoding (FieldWalker::data()).
+std::uint64_t scalar_bits(FieldType type, BytesView data);
+
 /// Decode a full message. Throws WireError if the tag is not in the schema or
 /// the payload is malformed/truncated.
 DecodedMessage decode(const Schema& schema, BytesView wire);
@@ -78,7 +128,16 @@ Bytes encode(const DecodedMessage& msg);
 /// Streaming encoder for guest codecs. Produces schema-compatible wire bytes.
 class MessageWriter {
  public:
-  explicit MessageWriter(TypeTag tag) { w_.u16(tag); }
+  /// Capacity every encode starts with, so it allocates once. The largest
+  /// normal-case message of the registered systems is prime's 154-byte
+  /// PrePrepare (a client request with a 64-byte payload is 82); only
+  /// larger ones, such as steward's 1 KiB CCSUnion, regrow.
+  static constexpr std::size_t kInitialCapacity = 160;
+
+  explicit MessageWriter(TypeTag tag) {
+    w_.reserve(kInitialCapacity);
+    w_.u16(tag);
+  }
 
   MessageWriter& b(bool v) { w_.boolean(v); return *this; }
   MessageWriter& i8(std::int8_t v) { w_.i8(v); return *this; }

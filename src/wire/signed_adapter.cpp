@@ -1,8 +1,5 @@
 #include "wire/signed_adapter.h"
 
-#include <bit>
-#include <cstring>
-
 #include "wire/message.h"
 
 namespace turret::wire {
@@ -33,54 +30,49 @@ std::uint16_t get_u16_le(const std::uint8_t* p) {
 }  // namespace
 
 SignedAdapter::SignedAdapter(const Schema& schema, std::uint64_t key_seed)
-    : schema_(&schema), key_seed_(key_seed) {}
+    : schema_(&schema), key_seed_(key_seed) {
+  key_prefix_.update("turret-signed-key-v1");
+  key_prefix_.update_u64(key_seed_);
+  mac_prefix_.update("turret-signed-mac-v1");
+}
 
 Digest128 SignedAdapter::key_of(std::uint32_t id) const {
-  Hasher128 h;
-  h.update("turret-signed-key-v1");
-  h.update_u64(key_seed_);
+  Hasher128 h = key_prefix_;
   h.update_u64(id);
   return h.digest();
 }
 
-Digest128 SignedAdapter::mac(const Digest128& key, std::uint32_t sender,
-                             BytesView inner) const {
-  Hasher128 h;
-  h.update("turret-signed-mac-v1");
+Digest128 SignedAdapter::mac(std::uint32_t sender, BytesView inner) const {
+  const Digest128 key = key_of(sender);
+  Hasher128 h = mac_prefix_;
   h.update_digest(key);
   h.update_u64(sender);
 
-  // Cover the tag plus every `signed` field. A message the schema does not
-  // describe (or that fails to decode) is covered in full — an honest sender
-  // never produces one, so the conservative choice costs nothing.
+  // Cover the tag plus every `signed` field, each hashed as the word (or
+  // length and content) decode() would turn it into. A message the schema
+  // does not describe, or one decode() would reject, is covered in full — an
+  // honest sender never produces one, so the conservative choice costs
+  // nothing.
+  const MessageSpec* spec =
+      inner.size() >= 2 ? schema_->by_tag(peek_tag(inner)) : nullptr;
   bool whole = true;
-  if (inner.size() >= 2) {
-    const TypeTag tag = peek_tag(inner);
-    if (const MessageSpec* spec = schema_->by_tag(tag)) {
-      try {
-        const DecodedMessage msg = decode(*schema_, inner);
-        whole = false;
-        h.update_u64(tag);
-        for (std::size_t i = 0; i < spec->fields.size(); ++i) {
-          if (!spec->fields[i].is_signed) continue;
-          const Value& v = msg.values[i];
-          h.update_u64(i);
-          if (v.is_bool()) {
-            h.update_u64(v.as_bool() ? 1 : 0);
-          } else if (v.is_signed()) {
-            h.update_i64(v.as_signed());
-          } else if (v.is_unsigned()) {
-            h.update_u64(v.as_unsigned());
-          } else if (v.is_double()) {
-            h.update_u64(std::bit_cast<std::uint64_t>(v.as_double()));
-          } else {
-            h.update_u64(v.as_bytes().size());
-            h.update(BytesView(v.as_bytes()));
-          }
-        }
-      } catch (const WireError&) {
-        whole = true;
+  if (spec != nullptr) {
+    Hasher128 fields = h;
+    fields.update_u64(spec->tag);
+    FieldWalker walk(*spec, inner);
+    while (walk.next()) {
+      if (!walk.field().is_signed) continue;
+      fields.update_u64(walk.index());
+      if (walk.field().type == FieldType::kBytes) {
+        fields.update_u64(walk.data().size());
+        fields.update(walk.data());
+      } else {
+        fields.update_u64(scalar_bits(walk.field().type, walk.data()));
       }
+    }
+    if (walk.complete()) {
+      h = fields;
+      whole = false;
     }
   }
   if (whole) h.update(inner);
@@ -92,9 +84,10 @@ Digest128 SignedAdapter::mac(const Digest128& key, std::uint32_t sender,
 }
 
 Bytes SignedAdapter::seal(std::uint32_t sender, BytesView inner) const {
-  const Digest128 m = mac(key_of(sender), sender, inner);
-  Bytes out(inner.begin(), inner.end());
-  out.reserve(out.size() + kTrailerSize);
+  const Digest128 m = mac(sender, inner);
+  Bytes out;
+  out.reserve(inner.size() + kTrailerSize);
+  out.assign(inner.begin(), inner.end());
   put_u64_le(out, m.hi);
   put_u64_le(out, m.lo);
   put_u16_le(out, static_cast<std::uint16_t>(sender));
@@ -108,12 +101,11 @@ std::optional<SignedAdapter::Opened> SignedAdapter::open(
   const std::uint8_t* trailer = sealed.data() + sealed.size() - kTrailerSize;
   Opened o;
   o.sender = get_u16_le(trailer + 16);
-  const BytesView inner = sealed.subspan(0, sealed.size() - kTrailerSize);
-  o.inner.assign(inner.begin(), inner.end());
+  o.inner = sealed.first(sealed.size() - kTrailerSize);
   Digest128 stored;
   stored.hi = get_u64_le(trailer);
   stored.lo = get_u64_le(trailer + 8);
-  o.verified = (mac(key_of(o.sender), o.sender, inner) == stored);
+  o.verified = (mac(o.sender, o.inner) == stored);
   return o;
 }
 

@@ -24,6 +24,9 @@
 // behaviour under tampering, not cipher strength. What matters is that the
 // proxy does not hold the keys, so it cannot forge a valid MAC for a mutated
 // signed field — exactly the asymmetry real HMACs provide.
+//
+// One adapter is shared by every guest of a scenario, across pool threads:
+// everything it holds is set at construction and only read afterwards.
 #pragma once
 
 #include <cstdint>
@@ -57,13 +60,15 @@ class SignedAdapter {
   Bytes seal(std::uint32_t sender, BytesView inner) const;
 
   struct Opened {
-    Bytes inner;               // schema wire bytes, trailer stripped
+    BytesView inner;           // schema wire bytes, trailer stripped: a
+                               // view into the buffer open() was given
     std::uint32_t sender = 0;  // trailer's claimed sender id
     bool verified = false;     // MAC matched the claimed sender's key
   };
 
   /// Strip and check the trailer. nullopt if the buffer does not carry one
   /// (too short or wrong magic) — callers treat that as tampering too.
+  /// Copies nothing: Opened::inner views `sealed`.
   std::optional<Opened> open(BytesView sealed) const;
 
   /// True if the buffer is long enough to carry a trailer and ends with the
@@ -85,11 +90,17 @@ class SignedAdapter {
   bool covers(TypeTag tag, std::size_t field_index) const;
 
  private:
-  Digest128 mac(const Digest128& key, std::uint32_t sender,
-                BytesView inner) const;
+  /// `sender`'s MAC over the tag and signed fields of `inner`, hashed where
+  /// they sit on the wire (or over all of `inner` when decode() would reject
+  /// it).
+  Digest128 mac(std::uint32_t sender, BytesView inner) const;
 
   const Schema* schema_;
   std::uint64_t key_seed_;
+  /// The constant heads of the key and MAC hash streams, hashed once:
+  /// "turret-signed-key-v1" + key_seed, and "turret-signed-mac-v1".
+  Hasher128 key_prefix_;
+  Hasher128 mac_prefix_;
 };
 
 }  // namespace turret::wire

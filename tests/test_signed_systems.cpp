@@ -16,12 +16,16 @@
 //     attack on each system.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dist/coordinator.h"
+#include "golden_lines.h"
 #include "proxy/proxy.h"
 #include "search/algorithms.h"
 #include "search/executor.h"
@@ -134,7 +138,7 @@ TEST_P(SignedWireProperty, SealOpenRoundTripsEveryMessage) {
       ASSERT_TRUE(opened.has_value()) << spec.name;
       EXPECT_TRUE(opened->verified) << spec.name;
       EXPECT_EQ(opened->sender, sender);
-      EXPECT_EQ(opened->inner, inner);
+      EXPECT_EQ(Bytes(opened->inner.begin(), opened->inner.end()), inner);
     }
   }
 }
@@ -185,7 +189,8 @@ TEST_P(SignedWireProperty, EveryUnsignedFieldStaysSilentlyMutable) {
           << spec.name << "." << spec.fields[fi].name
           << ": unsigned-field mutation tripped the MAC — the adapter "
              "over-signs and the classic lying catalogue is lost";
-      EXPECT_EQ(opened->inner, forged_inner);
+      EXPECT_EQ(Bytes(opened->inner.begin(), opened->inner.end()),
+                forged_inner);
     }
   }
 }
@@ -228,6 +233,265 @@ TEST_P(SignedWireProperty, KeysDifferPerNodeAndPerSeed) {
   const auto opened = b.open(a.seal(0, inner));
   ASSERT_TRUE(opened.has_value());
   EXPECT_FALSE(opened->verified);
+}
+
+// ---------------------------------------------------------------------------
+// The MAC against fixed answers. The adapter hashes the signed fields where
+// they sit on the wire; `reference_mac` is the decode-based computation it
+// replaced (decode every field into a Value, hash the signed ones), kept here
+// verbatim as the specification. tests/golden/signed_mac_kat.json holds
+// trailers that reference wrote, so a change to either side shows up.
+
+Digest128 reference_mac(const wire::Schema& schema, std::uint64_t key_seed,
+                        std::uint32_t sender, BytesView inner) {
+  Hasher128 kh;
+  kh.update("turret-signed-key-v1");
+  kh.update_u64(key_seed);
+  kh.update_u64(sender);
+  const Digest128 key = kh.digest();
+
+  Hasher128 h;
+  h.update("turret-signed-mac-v1");
+  h.update_digest(key);
+  h.update_u64(sender);
+  bool whole = true;
+  if (inner.size() >= 2) {
+    const wire::TypeTag tag = wire::peek_tag(inner);
+    if (const wire::MessageSpec* spec = schema.by_tag(tag)) {
+      try {
+        const wire::DecodedMessage msg = wire::decode(schema, inner);
+        whole = false;
+        h.update_u64(tag);
+        for (std::size_t i = 0; i < spec->fields.size(); ++i) {
+          if (!spec->fields[i].is_signed) continue;
+          const wire::Value& v = msg.values[i];
+          h.update_u64(i);
+          if (v.is_bool()) {
+            h.update_u64(v.as_bool() ? 1 : 0);
+          } else if (v.is_signed()) {
+            h.update_i64(v.as_signed());
+          } else if (v.is_unsigned()) {
+            h.update_u64(v.as_unsigned());
+          } else if (v.is_double()) {
+            h.update_u64(std::bit_cast<std::uint64_t>(v.as_double()));
+          } else {
+            h.update_u64(v.as_bytes().size());
+            h.update(BytesView(v.as_bytes()));
+          }
+        }
+      } catch (const wire::WireError&) {
+        whole = true;
+      }
+    }
+  }
+  if (whole) h.update(inner);
+  h.update_digest(key);
+  return h.digest();
+}
+
+/// `inner` followed by the trailer reference_mac implies.
+Bytes reference_seal(const wire::Schema& schema, std::uint64_t key_seed,
+                     std::uint32_t sender, BytesView inner) {
+  const Digest128 m = reference_mac(schema, key_seed, sender, inner);
+  Bytes out(inner.begin(), inner.end());
+  for (const std::uint64_t word : {m.hi, m.lo})
+    for (int i = 0; i < 8; ++i)
+      out.push_back(static_cast<std::uint8_t>(word >> (8 * i)));
+  out.push_back(static_cast<std::uint8_t>(sender));
+  out.push_back(static_cast<std::uint8_t>(sender >> 8));
+  out.push_back(static_cast<std::uint8_t>(wire::SignedAdapter::kMagic));
+  out.push_back(static_cast<std::uint8_t>(wire::SignedAdapter::kMagic >> 8));
+  return out;
+}
+
+/// Every value of `spec`'s fields at the low (`high` = false) or high end of
+/// its type: integer bounds, false/true, ±huge floats, empty or 300-byte
+/// bytes fields.
+wire::DecodedMessage boundary_instance(const wire::MessageSpec& spec,
+                                       bool high) {
+  using wire::FieldType;
+  using wire::Value;
+  wire::DecodedMessage msg;
+  msg.spec = &spec;
+  for (const wire::FieldSpec& f : spec.fields) {
+    if (f.type == FieldType::kBool) {
+      msg.values.push_back(Value::of_bool(high));
+    } else if (wire::is_signed_integer(f.type)) {
+      msg.values.push_back(Value::of_signed(
+          high ? static_cast<std::int64_t>(wire::integer_max(f.type))
+               : wire::integer_min(f.type)));
+    } else if (wire::is_unsigned_integer(f.type)) {
+      msg.values.push_back(
+          Value::of_unsigned(high ? wire::integer_max(f.type) : 0));
+    } else if (f.type == FieldType::kF32) {
+      msg.values.push_back(Value::of_double(high ? 3.0e38 : -3.0e38));
+    } else if (f.type == FieldType::kF64) {
+      msg.values.push_back(Value::of_double(high ? 1.0e300 : -1.0e300));
+    } else {
+      msg.values.push_back(Value::of_bytes(high ? Bytes(300, 0xff) : Bytes{}));
+    }
+  }
+  return msg;
+}
+
+TEST_P(SignedWireProperty, MacMatchesDecodeBasedReference) {
+  const wire::Schema& schema = entry().schema();
+  constexpr std::uint64_t kSeed = 0xfeed;
+  const wire::SignedAdapter adapter(schema, kSeed);
+  Rng rng(29);
+  std::size_t checked = 0;
+  const auto check = [&](BytesView inner, std::uint32_t sender,
+                         const std::string& what) {
+    ++checked;
+    const Bytes sealed = adapter.seal(sender, inner);
+    ASSERT_EQ(sealed, reference_seal(schema, kSeed, sender, inner))
+        << what << " (" << inner.size() << " bytes, sender " << sender << ")";
+    // The trailer carries the sender as a u16, and an inner message shorter
+    // than its tag does not look sealed at all.
+    const auto opened = adapter.open(sealed);
+    if (inner.size() < 2) {
+      EXPECT_FALSE(opened.has_value()) << what;
+      return;
+    }
+    ASSERT_TRUE(opened.has_value()) << what;
+    EXPECT_EQ(opened->verified, sender < 0x10000) << what;
+  };
+  for (const wire::MessageSpec& spec : schema.messages()) {
+    const Bytes base = wire::encode(random_instance(spec, rng));
+    const Bytes high = wire::encode(boundary_instance(spec, true));
+    std::vector<Bytes> shapes{base, high,
+                              wire::encode(boundary_instance(spec, false))};
+    for (int i = 0; i < 16; ++i)
+      shapes.push_back(wire::encode(random_instance(spec, rng)));
+    for (std::uint32_t fi = 0; fi < spec.fields.size(); ++fi) {
+      if (spec.fields[fi].type == wire::FieldType::kBytes) {
+        // The proxy lies on numbers only; a bytes field still changes
+        // length and content when a guest's own codec misbehaves.
+        for (const bool empty : {true, false}) {
+          wire::DecodedMessage lie = wire::decode(schema, base);
+          Bytes b = empty ? Bytes{} : lie.values[fi].as_bytes();
+          if (!empty) b.push_back(0x5a);
+          lie.values[fi] = wire::Value::of_bytes(std::move(b));
+          shapes.push_back(wire::encode(lie));
+        }
+        continue;
+      }
+      for (const proxy::LieStrategy strat :
+           {proxy::LieStrategy::kMin, proxy::LieStrategy::kMax,
+            proxy::LieStrategy::kRandom}) {
+        wire::DecodedMessage lie = wire::decode(schema, base);
+        proxy::mutate_field(lie, fi, strat, 0, rng);
+        shapes.push_back(wire::encode(lie));
+      }
+    }
+    for (const Bytes& inner : shapes) {
+      for (const std::uint32_t sender : {0u, 1u, 2u, 70u, 65537u})
+        check(inner, sender, spec.name);
+      Bytes longer = inner;
+      longer.push_back(0x5a);
+      check(longer, 3, spec.name + " plus one byte");
+      Bytes retagged = inner;
+      retagged[0] = retagged[1] = 0xff;
+      check(retagged, 3, spec.name + " unknown tag");
+    }
+    for (const Bytes& inner : {base, high})
+      for (std::size_t len = 0; len < inner.size(); ++len)
+        check(BytesView(inner).first(len), 1,
+              spec.name + " truncated at " + std::to_string(len));
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+/// The KAT shapes of one honest message: (label, inner bytes).
+std::vector<std::pair<std::string, Bytes>> kat_shapes(
+    const wire::Schema& schema, const wire::MessageSpec& spec, Rng& rng) {
+  const Bytes honest = wire::encode(random_instance(spec, rng));
+  std::vector<std::pair<std::string, Bytes>> shapes{{"honest", honest}};
+  const auto first_field = [&](bool is_signed) -> std::optional<std::uint32_t> {
+    for (std::uint32_t fi = 0; fi < spec.fields.size(); ++fi)
+      if (spec.fields[fi].is_signed == is_signed) return fi;
+    return std::nullopt;
+  };
+  if (const auto fi = first_field(true))
+    shapes.emplace_back("signed-lie",
+                        mutated_encoding(schema, honest, *fi, rng));
+  if (const auto fi = first_field(false))
+    shapes.emplace_back("unsigned-lie",
+                        mutated_encoding(schema, honest, *fi, rng));
+  // Cut inside the first bytes field's content (after its length prefix),
+  // or off the last scalar when the message has no bytes field.
+  std::size_t offset = 2;
+  std::optional<std::size_t> cut;
+  for (const wire::FieldSpec& f : spec.fields) {
+    if (f.type == wire::FieldType::kBytes) {
+      std::uint32_t len = 0;
+      std::memcpy(&len, honest.data() + offset, sizeof len);
+      cut = offset + 4 + len / 2;
+      break;
+    }
+    offset += wire::scalar_size(f.type);
+  }
+  const auto kept = static_cast<std::ptrdiff_t>(cut ? *cut : honest.size() - 1);
+  shapes.emplace_back(cut ? "truncated-bytes" : "truncated-scalar",
+                      Bytes(honest.begin(), honest.begin() + kept));
+  Bytes trailing = honest;
+  trailing.push_back(0x5a);
+  shapes.emplace_back("trailing-byte", trailing);
+  Bytes unknown = honest;
+  unknown[0] = unknown[1] = 0xff;
+  shapes.emplace_back("unknown-tag", unknown);
+  shapes.emplace_back("one-byte", Bytes{honest[0]});
+  return shapes;
+}
+
+constexpr char kKatFile[] = "signed_mac_kat.json";
+
+std::string kat_key(const std::string& system) {
+  return "\"system\":\"" + system + "\"";
+}
+
+/// One line per (message type, shape): the inner bytes and the sealed
+/// trailer for senders 0, the fleet's last node and 70.
+std::vector<std::string> kat_lines(const std::string& system) {
+  const systems::SystemEntry* e = systems::find_system(system);
+  EXPECT_NE(e, nullptr);
+  const wire::Schema& schema = e->schema();
+  const wire::SignedAdapter adapter(schema, 0xfeed);
+  const std::uint32_t last = e->make({}).testbed.net.nodes - 1;
+  Rng rng(31);
+  std::vector<std::string> lines;
+  for (const wire::MessageSpec& spec : schema.messages()) {
+    for (const auto& [shape, inner] : kat_shapes(schema, spec, rng)) {
+      std::string line = "{" + kat_key(system) + ",\"message\":\"" +
+                         spec.name + "\",\"shape\":\"" + shape +
+                         "\",\"inner\":\"" + to_hex(inner) +
+                         "\",\"trailers\":{";
+      bool first = true;
+      for (const std::uint32_t sender : {0u, last, 70u}) {
+        const Bytes sealed = adapter.seal(sender, inner);
+        const BytesView trailer =
+            BytesView(sealed).last(wire::SignedAdapter::kTrailerSize);
+        line += std::string(first ? "" : ",") + "\"" +
+                std::to_string(sender) + "\":\"" + to_hex(trailer) + "\"";
+        first = false;
+      }
+      lines.push_back(line + "}}");
+    }
+  }
+  return lines;
+}
+
+TEST_P(SignedWireProperty, MacMatchesKnownAnswers) {
+  if (golden::updating()) {
+    std::vector<std::string> all;
+    for (const std::string& name : signed_system_names())
+      for (std::string& line : kat_lines(name)) all.push_back(std::move(line));
+    golden::write_lines(kKatFile, all);
+    GTEST_SKIP() << "golden file regenerated: " << golden::path_of(kKatFile);
+  }
+  EXPECT_EQ(golden::joined(kat_lines(GetParam())),
+            golden::joined(golden::lines_with(kKatFile, kat_key(GetParam()))))
+      << GetParam() << ": a sealed trailer changed";
 }
 
 INSTANTIATE_TEST_SUITE_P(SignedSystems, SignedWireProperty,

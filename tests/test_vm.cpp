@@ -106,6 +106,48 @@ TEST(Machine, SaveLoadPreservesQueueAndGuest) {
   EXPECT_EQ(a.rng().next_u64(), b.rng().next_u64());
 }
 
+TEST(Machine, SaveLoadAfterInputsWereConsumedFromTheFront) {
+  // Three queued inputs, one handled: the consumed slot is still in front
+  // of the waiting ones, and a snapshot must carry only those.
+  VirtualMachine a(0, std::make_unique<EchoGuest>(), CpuModel{}, 1);
+  for (const Duration cost : {100, 70, 40}) {
+    GuestInput in = msg_input(cost);
+    in.message = Bytes{static_cast<std::uint8_t>(cost), 9};
+    a.enqueue(0, std::move(in));
+  }
+  ASSERT_TRUE(a.begin_handler(100).has_value());
+  ASSERT_TRUE(a.finish_handler(100, 0).has_value());
+  ASSERT_EQ(a.queued_inputs(), 2u);
+  serial::Writer w;
+  a.save(w);
+
+  VirtualMachine b(0, std::make_unique<EchoGuest>(), CpuModel{}, 999);
+  serial::Reader r(w.data());
+  b.load(r);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(b.queued_inputs(), 2u);
+  serial::Writer again;
+  b.save(again);
+  EXPECT_EQ(again.data(), w.data());
+
+  // Both machines hand out the same remaining inputs in the same order.
+  for (const Duration cost : {70, 40}) {
+    const auto from_a = a.begin_handler(a.busy_until());
+    const auto from_b = b.begin_handler(b.busy_until());
+    ASSERT_TRUE(from_a.has_value());
+    ASSERT_TRUE(from_b.has_value());
+    EXPECT_EQ(from_a->cost, cost);
+    EXPECT_EQ(from_b->cost, cost);
+    EXPECT_EQ(from_a->message.to_bytes(), from_b->message.to_bytes());
+    EXPECT_EQ(from_b->message.to_bytes(),
+              (Bytes{static_cast<std::uint8_t>(cost), 9}));
+    a.finish_handler(a.busy_until(), 0);
+    b.finish_handler(b.busy_until(), 0);
+  }
+  EXPECT_EQ(a.queued_inputs(), 0u);
+  EXPECT_EQ(b.queued_inputs(), 0u);
+}
+
 // --- Memory images ---------------------------------------------------------
 
 MemoryProfile small_profile() {
