@@ -102,8 +102,7 @@ Duration BundledDevice::receive(const Packet& p) {
     lo += bytes[i + 1];
   }
   std::uint32_t sum = static_cast<std::uint32_t>(hi * 256 + lo);
-  sum = (sum & 0xffff) + (sum >> 16);
-  if (sum == 0xdead) ++stats_.drops;  // keep the checksum observable
+  checksum_ = (sum & 0xffff) + (sum >> 16);  // stored: the work is not elided
   ++stats_.packets;
   stats_.bytes += p.wire_size();
   return 2 * kMicrosecond;  // pass-through latency

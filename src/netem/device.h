@@ -9,8 +9,9 @@
 // and check, promiscuous destination filtering across the attached channel,
 // deference/backoff bookkeeping), while BundledDevice hands the packet
 // straight through with a header sanity check. The difference is real CPU
-// work, measured by bench_fig4_netdevice, plus a small virtual-time
-// processing latency used by the emulator.
+// work, measured by bench_fig4_netdevice. Each device also reports a small
+// virtual-time processing latency, which the emulator does not apply yet: it
+// reads only the sign (accepted or rejected).
 #pragma once
 
 #include <cstdint>
@@ -34,9 +35,10 @@ class NetDevice {
  public:
   virtual ~NetDevice() = default;
 
-  /// Process one arriving packet. Returns the virtual-time latency the device
-  /// adds before the payload reaches the node, or a negative value if the
-  /// device rejected the packet (counted as a drop).
+  /// Process one arriving packet. Returns the device's virtual-time
+  /// processing latency, or a negative value if the device rejected the
+  /// packet (counted as a drop). Emulator::deliver_packet uses only the sign:
+  /// an accepted payload reaches the node with no added latency.
   virtual Duration receive(const Packet& p) = 0;
 
   virtual DeviceKind kind() const = 0;
@@ -55,6 +57,12 @@ class BundledDevice final : public NetDevice {
   Duration receive(const Packet& p) override;
   DeviceKind kind() const override { return DeviceKind::kBundled; }
   std::string_view name() const override { return "bundled"; }
+
+  /// The folded 16-bit checksum of the last accepted frame.
+  std::uint32_t last_checksum() const { return checksum_; }
+
+ private:
+  std::uint32_t checksum_ = 0;
 };
 
 /// A faithful-to-its-cost CSMA device: frames the packet, computes and checks

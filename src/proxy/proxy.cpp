@@ -102,7 +102,8 @@ Bytes MaliciousProxy::apply_lie(BytesView message,
   Bytes forged = wire::encode(decoded);
   // The proxy has no keys: it can only replay the original authenticator.
   // Lies on MAC-covered fields therefore fail verification at the receiver.
-  if (sealed) return wire::SignedAdapter::replace_inner(message, forged);
+  if (sealed)
+    return wire::SignedAdapter::replace_inner(message, std::move(forged));
   return forged;
 }
 

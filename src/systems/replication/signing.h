@@ -9,6 +9,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 
 #include "search/scenario.h"
 #include "systems/replication/config.h"
@@ -19,13 +20,14 @@
 namespace turret::systems {
 
 /// Seal an outgoing message under the node's key (pass-through when the
-/// scenario runs without an adapter). Charges the signing cost.
+/// scenario runs without an adapter), appending the trailer to `inner`'s
+/// buffer. Charges the signing cost.
 inline Bytes seal_message(const wire::SignedAdapter* adapter,
                           vm::GuestContext& ctx, const BftConfig& cfg,
                           Bytes inner) {
   if (adapter == nullptr) return inner;
   charge_sign(ctx, cfg);
-  return adapter->seal(ctx.self(), inner);
+  return adapter->seal(ctx.self(), std::move(inner));
 }
 
 /// Check and strip an incoming message's authenticator. Returns the inner

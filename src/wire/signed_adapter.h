@@ -26,9 +26,12 @@
 // signed field — exactly the asymmetry real HMACs provide.
 //
 // One adapter is shared by every guest of a scenario, across pool threads:
-// everything it holds is set at construction and only read afterwards.
+// everything it holds is set at construction and only read afterwards. The
+// one piece of mutable state, a per-thread memo of sealed bytes that open()
+// has already seen verify, lives in signed_adapter.cpp (see DESIGN.md §5h).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
@@ -56,8 +59,12 @@ class SignedAdapter {
   Digest128 key_of(std::uint32_t id) const;
 
   /// Wrap inner wire bytes (schema format, starting with the u16 tag) with
-  /// `sender`'s authenticator trailer.
+  /// `sender`'s authenticator trailer. Allocates once.
   Bytes seal(std::uint32_t sender, BytesView inner) const;
+
+  /// The same, appending the trailer to `inner`'s own buffer: no allocation
+  /// while its capacity has room for kTrailerSize more bytes.
+  Bytes seal(std::uint32_t sender, Bytes&& inner) const;
 
   struct Opened {
     BytesView inner;           // schema wire bytes, trailer stripped: a
@@ -83,24 +90,45 @@ class SignedAdapter {
   /// malicious proxy's move: it can rewrite the payload but must replay the
   /// original authenticator since it holds no keys — mutations to MAC-covered
   /// fields therefore fail verification at the receiver.
-  static Bytes replace_inner(BytesView sealed, BytesView new_inner);
+  /// The trailer is appended to `new_inner`'s buffer.
+  static Bytes replace_inner(BytesView sealed, Bytes new_inner);
 
   /// True if field `field_index` of the message with wire tag `tag` is
   /// covered by the authenticator.
   bool covers(TypeTag tag, std::size_t field_index) const;
 
  private:
+  /// Senders whose key and MAC stream head are derived at construction.
+  static constexpr std::uint32_t kHeadSenders = 64;
+
+  struct SenderHead {
+    Digest128 key;
+    Hasher128 mac;  // "turret-signed-mac-v1" + key + sender
+  };
+
   /// `sender`'s MAC over the tag and signed fields of `inner`, hashed where
   /// they sit on the wire (or over all of `inner` when decode() would reject
   /// it).
   Digest128 mac(std::uint32_t sender, BytesView inner) const;
 
+  /// `sender`'s key and MAC stream head, derived from the prefixes.
+  SenderHead head_of(std::uint32_t sender) const;
+
+  /// MAC `buf` (the inner bytes) and append `sender`'s trailer to it.
+  void append_trailer(std::uint32_t sender, Bytes& buf) const;
+
   const Schema* schema_;
   std::uint64_t key_seed_;
+  /// Identifies this adapter in the per-thread verification memo. Taken from
+  /// a process-wide counter at construction, so adapters built separately
+  /// never share it, as a later adapter can share an earlier one's address;
+  /// a copy shares it and verifies identically.
+  std::uint64_t uid_;
   /// The constant heads of the key and MAC hash streams, hashed once:
   /// "turret-signed-key-v1" + key_seed, and "turret-signed-mac-v1".
   Hasher128 key_prefix_;
   Hasher128 mac_prefix_;
+  std::array<SenderHead, kHeadSenders> heads_;
 };
 
 }  // namespace turret::wire

@@ -339,6 +339,22 @@ TEST(Devices, RejectMalformedFragments) {
   }
 }
 
+TEST(Devices, BundledDeliveryIsNeverCountedAsADrop) {
+  // {0xde, 0xad} folds to checksum 0xdead, a value the device once counted
+  // as a drop while still delivering the frame.
+  BundledDevice dev;
+  Packet p;
+  p.src = 0;
+  p.dst = 1;
+  p.frag_count = 1;
+  p.msg_bytes = 2;
+  p.payload = Bytes{0xde, 0xad};
+  EXPECT_GE(dev.receive(p), 0);
+  EXPECT_EQ(dev.last_checksum(), 0xdeadu);
+  EXPECT_EQ(dev.stats().packets, 1u);
+  EXPECT_EQ(dev.stats().drops, 0u);
+}
+
 TEST(Devices, CsmaAddsMoreLatencyThanBundled) {
   auto csma = make_device(DeviceKind::kCsma, 16);
   auto bundled = make_device(DeviceKind::kBundled, 16);

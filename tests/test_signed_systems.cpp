@@ -16,10 +16,13 @@
 //     attack on each system.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <thread>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -400,6 +403,176 @@ TEST_P(SignedWireProperty, MacMatchesDecodeBasedReference) {
               spec.name + " truncated at " + std::to_string(len));
   }
   EXPECT_GT(checked, 1000u);
+}
+
+/// What open() must return for `sealed`, derived from reference_mac alone.
+struct ReferenceOpen {
+  bool sealed = false;  // false: open() returns nullopt
+  std::uint32_t sender = 0;
+  bool verified = false;
+  Bytes inner;
+};
+
+ReferenceOpen reference_open(const wire::Schema& schema,
+                             std::uint64_t key_seed, BytesView sealed) {
+  constexpr std::size_t kTrailer = wire::SignedAdapter::kTrailerSize;
+  ReferenceOpen r;
+  if (sealed.size() < kTrailer + 2) return r;
+  const std::uint8_t* t = sealed.data() + sealed.size() - kTrailer;
+  if ((t[18] | t[19] << 8) != wire::SignedAdapter::kMagic) return r;
+  r.sealed = true;
+  r.sender = static_cast<std::uint32_t>(t[16] | t[17] << 8);
+  r.inner.assign(sealed.begin(), sealed.end() - kTrailer);
+  Digest128 stored;
+  for (int i = 7; i >= 0; --i) {
+    stored.hi = stored.hi << 8 | t[i];
+    stored.lo = stored.lo << 8 | t[8 + i];
+  }
+  r.verified = reference_mac(schema, key_seed, r.sender, r.inner) == stored;
+  return r;
+}
+
+// open() answers from a per-thread memo of bytes it already saw verify. A
+// seeded sequence interleaves everything that could make a remembered answer
+// wrong, and every open() must still agree with the memo-free reference.
+TEST_P(SignedWireProperty, OpenMatchesAMemoFreeReference) {
+  const wire::Schema& schema = entry().schema();
+  Rng rng(37);
+  // Two live adapters with different seeds on this thread; either may be
+  // destroyed and rebuilt in place (so at the same address) under a new seed.
+  std::array<std::uint64_t, 2> seeds{0xfeed, 0xbeef};
+  std::array<std::optional<wire::SignedAdapter>, 2> adapters;
+  for (std::size_t i = 0; i < 2; ++i) adapters[i].emplace(schema, seeds[i]);
+  std::vector<Bytes> recent;  // earlier buffers, reopened at random
+  std::size_t verified = 0, rejected = 0, oversize = 0;
+
+  // Opens twice, so the second open meets whatever the first remembered.
+  const auto check_open = [&](const Bytes& sealed, std::size_t which,
+                              const std::string& what) {
+    const ReferenceOpen want = reference_open(schema, seeds[which], sealed);
+    for (int round = 0; round < 2; ++round) {
+      const auto got = adapters[which]->open(sealed);
+      ASSERT_EQ(got.has_value(), want.sealed) << what;
+      if (!got) return;
+      EXPECT_EQ(got->sender, want.sender) << what;
+      EXPECT_EQ(got->verified, want.verified)
+          << what << ", opened by adapter " << which << ", round " << round;
+      EXPECT_EQ(Bytes(got->inner.begin(), got->inner.end()), want.inner)
+          << what;
+    }
+    ++(want.verified ? verified : rejected);
+  };
+  const auto fields_where = [](const wire::MessageSpec& spec, bool is_signed) {
+    std::vector<std::uint32_t> out;
+    for (std::uint32_t fi = 0; fi < spec.fields.size(); ++fi)
+      if (spec.fields[fi].is_signed == is_signed) out.push_back(fi);
+    return out;
+  };
+
+  for (int step = 0; step < 1500; ++step) {
+    const std::size_t a = rng.next_below(2);  // seals
+    const std::size_t b = rng.next_below(4) == 0 ? 1 - a : a;  // opens
+    const wire::MessageSpec& spec =
+        schema.messages()[rng.next_below(schema.messages().size())];
+    const auto sender = static_cast<std::uint32_t>(rng.next_below(8));
+    const Bytes inner = wire::encode(random_instance(spec, rng));
+    Bytes sealed = rng.next_bool() ? adapters[a]->seal(sender, inner)
+                                   : adapters[a]->seal(sender, Bytes(inner));
+    const std::string what = spec.name + " step " + std::to_string(step);
+    switch (rng.next_below(8)) {
+      case 0:
+        check_open(sealed, b, "honest " + what);
+        break;
+      case 1:
+      case 2: {
+        // A lie replays the original's trailer, so it lands in the slot the
+        // original's verification just filled.
+        check_open(sealed, a, "original " + what);
+        const bool on_signed = rng.next_bool();
+        const std::vector<std::uint32_t> fields = fields_where(spec, on_signed);
+        if (fields.empty()) break;
+        const std::uint32_t fi = fields[rng.next_below(fields.size())];
+        sealed = wire::SignedAdapter::replace_inner(
+            sealed, mutated_encoding(schema, inner, fi, rng));
+        check_open(sealed, a,
+                   (on_signed ? "signed lie " : "unsigned lie ") + what);
+        break;
+      }
+      case 3:
+        check_open(sealed, a, "original " + what);
+        sealed[sealed.size() - 4] ^=
+            static_cast<std::uint8_t>(1 + rng.next_below(255));
+        check_open(sealed, a, "forged sender " + what);
+        break;
+      case 4: {
+        Bytes odd = inner;
+        if (rng.next_bool()) {
+          odd.resize(rng.next_below(odd.size()));
+        } else {
+          odd.push_back(0x5a);
+        }
+        check_open(adapters[a]->seal(sender, odd), b, "odd inner " + what);
+        sealed = wire::SignedAdapter::replace_inner(sealed, odd);
+        check_open(sealed, a, "odd inner under the original trailer " + what);
+        break;
+      }
+      case 5:
+        sealed = adapters[a]->seal(65537, inner);
+        check_open(sealed, b, "sender 65537 " + what);
+        break;
+      case 6:
+        sealed = adapters[a]->seal(sender,
+                                   wire::encode(boundary_instance(spec, true)));
+        oversize += sealed.size() > 232;
+        check_open(sealed, b, "boundary instance " + what);
+        break;
+      case 7: {
+        const std::size_t k = rng.next_below(2);
+        adapters[k].reset();
+        seeds[k] = rng.next_u64();
+        adapters[k].emplace(schema, seeds[k]);
+        check_open(sealed, a, "after a rebuild " + what);
+        break;
+      }
+    }
+    if (!recent.empty())
+      check_open(recent[rng.next_below(recent.size())], rng.next_below(2),
+                 "reopened at " + what);
+    if (recent.size() < 32) {
+      recent.push_back(std::move(sealed));
+    } else {
+      recent[rng.next_below(recent.size())] = std::move(sealed);
+    }
+  }
+  EXPECT_GT(verified, 500u);
+  EXPECT_GT(rejected, 500u);
+  EXPECT_GT(oversize, 0u) << "no sealed message outgrew a memo slot";
+}
+
+TEST_P(SignedWireProperty, SealedOnOneThreadVerifiesOnAnother) {
+  const wire::Schema& schema = entry().schema();
+  const wire::SignedAdapter adapter(schema, 0xfeed);
+  Rng rng(41);
+  std::vector<Bytes> sealed;
+  for (const wire::MessageSpec& spec : schema.messages())
+    for (std::uint32_t sender = 0; sender < 4; ++sender)
+      sealed.push_back(
+          adapter.seal(sender, wire::encode(random_instance(spec, rng))));
+  std::size_t verified = 0, forged_verified = 0;
+  std::thread([&] {
+    for (const Bytes& s : sealed) {
+      for (int round = 0; round < 2; ++round) {
+        const auto opened = adapter.open(s);
+        verified += opened.has_value() && opened->verified;
+      }
+      Bytes forged = s;
+      forged[forged.size() - 4] ^= 1;
+      const auto opened = adapter.open(forged);
+      forged_verified += opened.has_value() && opened->verified;
+    }
+  }).join();
+  EXPECT_EQ(verified, 2 * sealed.size());
+  EXPECT_EQ(forged_verified, 0u);
 }
 
 /// The KAT shapes of one honest message: (label, inner bytes).
